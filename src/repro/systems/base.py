@@ -228,10 +228,13 @@ class MemorySystem:
     def _run_chunk_vectorized(self, chunk: TraceChunk, stable_translation: bool) -> int:
         """Hot loop over the chunk's pre-translated runs.
 
-        Consumes the :class:`~repro.trace.record.ChunkRuns` structure --
+        Consumes the :class:`~repro.trace.record.ChunkRuns` window --
         page numbers, block offsets and same-block run lengths computed
-        in bulk by numpy -- and fast-forwards over each run instead of
-        re-deriving ``gvpn``/``block`` per reference.  Within a run
+        in bulk by numpy, in a run table a split chunk shares with the
+        chunk it was split from -- and fast-forwards over each run
+        instead of re-deriving ``gvpn``/``block`` per reference.  A
+        preemption returns the preempting run's table start converted
+        back into an offset into the chunk.  Within a run
         every reference shares one translation and, after the first
         reference settles the block, one L1 outcome, so hit counters
         and issue cycles can be added in one step.
@@ -276,16 +279,7 @@ class MemorySystem:
         last_vpn = -1
         last_frame = 0
         consumed = runs.n
-        for start, length, gvpn, offset, bip, is_ifetch, w, first_kind in zip(
-            runs.starts,
-            runs.lengths,
-            runs.gvpns,
-            runs.offsets,
-            runs.bips,
-            runs.is_ifetch,
-            runs.writes,
-            runs.first_kinds,
-        ):
+        for start, length, gvpn, offset, bip, is_ifetch, w, first_kind in runs.rows():
             if gvpn == last_vpn:
                 frame = last_frame
                 tlb_hits += length
@@ -299,7 +293,7 @@ class MemorySystem:
                     frame = self._translate(gvpn)
                     if self._preempted:
                         self._preempted = False
-                        consumed = start
+                        consumed = start - runs.base
                         break
                     if stable_translation:
                         last_vpn = gvpn
@@ -457,16 +451,7 @@ class MemorySystem:
         g_if = g_rd = g_wr = 0
         g_dirty: list[int] = []
         consumed = runs.n
-        for start, length, gvpn, offset, bip, is_ifetch, w, first_kind in zip(
-            runs.starts,
-            runs.lengths,
-            runs.gvpns,
-            runs.offsets,
-            runs.bips,
-            runs.is_ifetch,
-            runs.writes,
-            runs.first_kinds,
-        ):
+        for start, length, gvpn, offset, bip, is_ifetch, w, first_kind in runs.rows():
             flags = 0
             if gvpn == last_vpn:
                 frame = last_frame
@@ -501,7 +486,7 @@ class MemorySystem:
                         )
                         g_if = g_rd = g_wr = 0
                         g_dirty = []
-                        consumed = start
+                        consumed = start - runs.base
                         break
                     if stable_translation:
                         last_vpn = gvpn

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -51,7 +52,16 @@ class Reference(NamedTuple):
         return self
 
 
-@dataclass
+def _window_column(index: int, doc: str) -> property:
+    """A read-only :class:`ChunkRuns` attribute: one column over the window."""
+
+    def get(self: "ChunkRuns") -> list:
+        return self._columns[index][self.lo : self.hi]
+
+    return property(get, doc=doc)
+
+
+@dataclass(eq=False)
 class ChunkRuns:
     """Vectorized pre-translation of one :class:`TraceChunk`.
 
@@ -64,10 +74,11 @@ class ChunkRuns:
     every reference after the first is guaranteed the same translation
     and the same L1 hit/miss outcome.
 
-    All fields are parallel per-run Python lists (indexing plain lists
-    is what the interpreter loop consumes fastest):
+    The runs live in a *table* of eight parallel per-run Python lists
+    (iterating plain lists is what the interpreter loop consumes
+    fastest), in table order:
 
-    ``starts``       index of the run's first reference in the chunk
+    ``starts``       index of the run's first reference
     ``lengths``      number of references in the run
     ``gvpns``        global virtual page number (pid | vpn) of the run
     ``offsets``      first reference's byte offset within its page
@@ -76,81 +87,115 @@ class ChunkRuns:
     ``writes``       how many of the run's references are writes
     ``first_kinds``  kind of the run's first reference
 
+    A ``ChunkRuns`` is a *window* over such a table: runs ``lo`` to
+    ``hi`` (exclusive), covering the ``n`` references that start at
+    table reference ``base``.  The chunk that computed the table sees
+    all of it; chunks split off it (:meth:`TraceChunk.tail`,
+    :meth:`TraceChunk.head`) narrow the window with a bisect and share
+    the table, so a split never copies the runs after it.  The column
+    attributes above return the window's slice in window coordinates
+    (a copy, for inspection and tests); hot loops iterate
+    :meth:`rows` instead.
+
     ``key`` records the geometry (page bits, L1 block bits, vpn space
     bits) the runs were computed for; a chunk re-computes lazily when a
     machine with different geometry consumes it.
     """
 
     key: tuple[int, int, int]
-    starts: list[int]
-    lengths: list[int]
-    gvpns: list[int]
-    offsets: list[int]
-    bips: list[int]
-    is_ifetch: list[bool]
-    writes: list[int]
-    first_kinds: list[int]
+    _columns: tuple[list, ...] = field(repr=False)
+    lo: int
+    hi: int
+    base: int
     n: int
 
-    def suffix(self, consumed: int) -> "ChunkRuns | None":
-        """Runs for the chunk's tail starting at ``consumed``.
+    @property
+    def starts(self) -> list[int]:
+        """Each run's first reference, as an index into the window."""
+        base = self.base
+        return [start - base for start in self._columns[0][self.lo : self.hi]]
 
-        Returns None when ``consumed`` is not a run boundary (the tail
-        must then recompute).  Preemption always happens on a TLB miss,
-        i.e. at the first reference of a run, so in practice this hits.
+    lengths = _window_column(1, "References per run.")
+    gvpns = _window_column(2, "Global virtual page number of each run.")
+    offsets = _window_column(3, "First reference's byte offset in its page.")
+    bips = _window_column(4, "First reference's L1-block index in its page.")
+    is_ifetch = _window_column(5, "True for instruction-fetch runs.")
+    writes = _window_column(6, "Writes among each run's references.")
+    first_kinds = _window_column(7, "Kind of each run's first reference.")
+
+    def rows(self) -> Iterator[tuple]:
+        """Iterate the window's runs as one tuple per run, in table order.
+
+        Each column is read by a list iterator positioned at ``lo``
+        (``__setstate__``, O(1)), so the loop starts at the window's
+        first run without slicing or stepping over earlier runs.  A
+        row's ``start`` is in table coordinates: ``start - base`` is
+        its index into the window.
+        """
+        lo = self.lo
+        readers = []
+        for column in self._columns:
+            reader = iter(column)
+            reader.__setstate__(lo)
+            readers.append(reader)
+        readers[0] = islice(readers[0], self.hi - lo)
+        return zip(*readers)
+
+    def suffix(self, consumed: int) -> "ChunkRuns | None":
+        """Runs for the window's tail starting at ``consumed``.
+
+        A bisect over the shared table, no copy.  Returns None when
+        ``consumed`` is not a run boundary (the tail must then
+        recompute).  Preemption always happens on a TLB miss, i.e. at
+        the first reference of a run, so preemption tails always hit;
+        a slice boundary usually lands mid-run.
         """
         if consumed == 0:
             return self
-        idx = bisect_left(self.starts, consumed)
-        if idx >= len(self.starts) or self.starts[idx] != consumed:
+        at = self.base + consumed
+        starts = self._columns[0]
+        idx = bisect_left(starts, at, self.lo, self.hi)
+        boundary = starts[idx] if idx < self.hi else self.base + self.n
+        if boundary != at:
             return None
-        return ChunkRuns(
-            key=self.key,
-            starts=[start - consumed for start in self.starts[idx:]],
-            lengths=self.lengths[idx:],
-            gvpns=self.gvpns[idx:],
-            offsets=self.offsets[idx:],
-            bips=self.bips[idx:],
-            is_ifetch=self.is_ifetch[idx:],
-            writes=self.writes[idx:],
-            first_kinds=self.first_kinds[idx:],
-            n=self.n - consumed,
-        )
+        return ChunkRuns(self.key, self._columns, idx, self.hi, at, self.n - consumed)
 
     def prefix(self, count: int, kinds: np.ndarray) -> "ChunkRuns":
-        """Runs for the chunk's first ``count`` references.
+        """Runs for the window's first ``count`` references.
 
-        An arbitrary cut can land mid-run; every per-run field of the
+        A cut at a run boundary is a bisect over the shared table, like
+        :meth:`suffix`.  A cut landing mid-run copies the window's runs
+        up to the cut into a table of its own: every field of the
         truncated run is unchanged except its length and write count,
         and the write count is recovered by rescanning only the
-        truncated run's own references (``kinds`` is the parent chunk's
-        kind array) -- O(one run), not a fresh translation pass.
+        truncated run's own references (``kinds`` is the window's kind
+        array) -- O(one run) of rescanning, not a fresh translation
+        pass.  The interleaver cuts a chunk this way at most once per
+        time slice.
         """
         if count >= self.n:
             return self
-        idx = bisect_left(self.starts, count)
-        starts = self.starts[:idx]
-        lengths = self.lengths[:idx]
-        writes = self.writes[:idx]
-        last_start = starts[-1]
-        if last_start + lengths[-1] > count:
-            lengths[-1] = count - last_start
-            if writes[-1]:
-                writes[-1] = int(
-                    np.count_nonzero(kinds[last_start:count] == WRITE)
-                )
-        return ChunkRuns(
-            key=self.key,
-            starts=starts,
-            lengths=lengths,
-            gvpns=self.gvpns[:idx],
-            offsets=self.offsets[:idx],
-            bips=self.bips[:idx],
-            is_ifetch=self.is_ifetch[:idx],
-            writes=writes,
-            first_kinds=self.first_kinds[:idx],
-            n=count,
-        )
+        end = self.base + count
+        starts, lengths, *_ = self._columns
+        lo = self.lo
+        idx = bisect_left(starts, end, lo, self.hi)
+        if idx == lo or starts[idx - 1] + lengths[idx - 1] == end:
+            return ChunkRuns(self.key, self._columns, lo, idx, self.base, count)
+        columns = [column[lo:idx] for column in self._columns]
+        base = self.base
+        if base:
+            columns[0] = [start - base for start in columns[0]]
+        last_start = columns[0][-1]
+        columns[1][-1] = count - last_start
+        if columns[6][-1]:
+            columns[6][-1] = int(
+                np.count_nonzero(kinds[last_start:count] == WRITE)
+            )
+        return ChunkRuns(self.key, tuple(columns), 0, idx - lo, 0, count)
+
+
+#: A chunk's cached runs, one window per geometry key.
+RunsMap = dict[tuple[int, int, int], ChunkRuns]
 
 
 def _compute_runs(
@@ -161,7 +206,7 @@ def _compute_runs(
     addrs = chunk.addrs
     n = len(addrs)
     if n == 0:
-        return ChunkRuns(key, [], [], [], [], [], [], [], [], 0)
+        return ChunkRuns(key, tuple([] for _ in range(8)), 0, 0, 0, 0)
     vblocks = addrs >> np.uint64(l1_block_bits)
     is_ifetch = kinds == IFETCH
     bounds = np.empty(n, dtype=bool)
@@ -177,18 +222,17 @@ def _compute_runs(
     bips = offsets >> np.uint64(l1_block_bits)
     cum_writes = np.concatenate(([0], np.cumsum(kinds == WRITE)))
     writes = cum_writes[starts + lengths] - cum_writes[starts]
-    return ChunkRuns(
-        key=key,
-        starts=starts.tolist(),
-        lengths=lengths.tolist(),
-        gvpns=gvpns.tolist(),
-        offsets=offsets.tolist(),
-        bips=bips.tolist(),
-        is_ifetch=is_ifetch[starts].tolist(),
-        writes=writes.tolist(),
-        first_kinds=kinds[starts].tolist(),
-        n=n,
+    columns = (
+        starts.tolist(),
+        lengths.tolist(),
+        gvpns.tolist(),
+        offsets.tolist(),
+        bips.tolist(),
+        is_ifetch[starts].tolist(),
+        writes.tolist(),
+        kinds[starts].tolist(),
     )
+    return ChunkRuns(key, columns, 0, len(starts), 0, n)
 
 
 @dataclass
@@ -201,9 +245,12 @@ class TraceChunk:
 
     Derived views -- the scalar list mirrors of the arrays and the
     per-machine :class:`ChunkRuns` pre-translation -- are computed
-    lazily and cached, and shared with tail chunks split off by
-    :meth:`tail`, so a preempted chunk never re-materialises references
-    it already paid for.
+    lazily and cached.  Chunks split off by :meth:`tail` and
+    :meth:`head` inherit them: the list mirrors as slices, the runs as
+    windows over the same run table, so a preempted chunk never
+    re-translates references it already paid for.  A split still copies
+    the list mirrors when the chunk holds them (only the scalar loops
+    read those); the runs cost a bisect.
     """
 
     pid: int
@@ -217,16 +264,19 @@ class TraceChunk:
         default=None, repr=False, compare=False
     )
     #: Per-geometry map of pre-translated runs (see :meth:`runs_for`).
-    _runs: dict[tuple[int, int, int], ChunkRuns] | None = field(
+    _runs: RunsMap | None = field(
         default=None, repr=False, compare=False
     )
-    #: Lazy link into a parent chunk's run map: ``(parent, start, stop)``
-    #: in the parent's reference coordinates.  A split chunk derives a
-    #: geometry's runs from the parent on first use instead of eagerly
-    #: slicing every cached geometry at split time -- preemption splits
-    #: are frequent under switch-on-miss, and most geometries in a
-    #: shared chunk's map belong to other grid cells.
-    _runs_src: "tuple[TraceChunk, int, int] | None" = field(
+    #: Lazy link into the run map of the chunk this one was split
+    #: from: ``(runs, start, stop)``, with ``start``/``stop`` in that
+    #: chunk's reference coordinates.  A split chunk derives a
+    #: geometry's window from the map on first use instead of eagerly
+    #: narrowing every cached geometry at split time -- most geometries
+    #: in a shared chunk's map belong to other grid cells.  The link
+    #: holds the map, not the chunk, and is dropped once this chunk has
+    #: runs of its own, so a chain of preemption tails never keeps its
+    #: earlier members alive.
+    _runs_src: tuple[RunsMap, int, int] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -280,6 +330,7 @@ class TraceChunk:
         runs = cache.get(key)
         if runs is None:
             runs = self._derived_runs(key)
+            self._runs_src = None
             if runs is None:
                 runs = _compute_runs(
                     self, page_bits, l1_block_bits, vpn_space_bits
@@ -290,37 +341,45 @@ class TraceChunk:
         return runs
 
     def _derived_runs(self, key: tuple[int, int, int]) -> ChunkRuns | None:
-        """Slice ``key``'s runs out of the parent window, if possible.
+        """Narrow the linked map's ``key`` window to this chunk, if possible.
 
         Returns None -- recompute from the arrays -- when there is no
-        parent link, the parent never computed this geometry, or the
-        window starts mid-run (only the run *ending* the window can be
-        patched up; see :meth:`ChunkRuns.prefix`).
+        link, the linked map lacks this geometry, or this chunk starts
+        mid-run (only the run *ending* the window can be patched up;
+        see :meth:`ChunkRuns.prefix`).
         """
         src = self._runs_src
         if src is None:
             return None
-        parent, start, stop = src
-        base = parent._runs.get(key) if parent._runs else None
+        source, start, stop = src
+        base = source.get(key)
         if base is None:
             return None
         runs = base.suffix(start)
-        if runs is None:
-            return None
-        count = stop - start
-        if count < runs.n:
-            runs = runs.prefix(count, parent.kinds[start:])
+        if runs is not None and stop - start < runs.n:
+            runs = runs.prefix(stop - start, self.kinds)
         return runs
+
+    def _split_link(self, start: int, stop: int) -> tuple[RunsMap, int, int] | None:
+        """The run-map link for a chunk split off at ``[start, stop)``."""
+        if self._runs:
+            return (self._runs, start, stop)
+        if self._runs_src is not None:
+            source, base, _ = self._runs_src
+            return (source, base + start, base + stop)
+        return None
 
     def tail(self, consumed: int) -> "TraceChunk":
         """The unconsumed suffix as a new chunk.
 
         Arrays are numpy views (no copy); cached list views are sliced,
         and the run map is linked lazily -- the tail derives a
-        geometry's runs from the parent the first time a machine asks
-        for it (:meth:`_derived_runs`), so handing a preemption tail
-        back to the scheduler costs O(tail) for the one geometry in
-        use, not an eager slice of every cached geometry.
+        geometry's window the first time a machine asks for it
+        (:meth:`_derived_runs`).  At a run boundary, which is where
+        every preemption lands, that costs one bisect, so handing a
+        preemption tail back to the scheduler is O(log runs) for the
+        one geometry in use, however many times the chunk has already
+        been split.
         """
         chunk = TraceChunk(
             pid=self.pid,
@@ -331,19 +390,15 @@ class TraceChunk:
             chunk._kinds_list = self._kinds_list[consumed:]
         if self._addrs_list is not None:
             chunk._addrs_list = self._addrs_list[consumed:]
-        if self._runs:
-            chunk._runs_src = (self, consumed, len(self.kinds))
-        elif self._runs_src is not None:
-            parent, start, stop = self._runs_src
-            chunk._runs_src = (parent, start + consumed, stop)
+        chunk._runs_src = self._split_link(consumed, len(self.kinds))
         return chunk
 
     def head(self, count: int) -> "TraceChunk":
         """The first ``count`` references as a new chunk.
 
         Like :meth:`tail`, arrays are views, cached list views are
-        sliced, and runs derive lazily from the parent window.  A cut
-        landing mid-run only costs a rescan of that one run's
+        sliced, and runs derive lazily as a window.  A cut landing
+        mid-run copies the head's runs and rescans only the cut run's
         references (:meth:`ChunkRuns.prefix`), far cheaper than the
         full translation pass the head would otherwise repeat.
         """
@@ -356,11 +411,7 @@ class TraceChunk:
             chunk._kinds_list = self._kinds_list[:count]
         if self._addrs_list is not None:
             chunk._addrs_list = self._addrs_list[:count]
-        if self._runs:
-            chunk._runs_src = (self, 0, count)
-        elif self._runs_src is not None:
-            parent, start, stop = self._runs_src
-            chunk._runs_src = (parent, start, start + count)
+        chunk._runs_src = self._split_link(0, count)
         return chunk
 
     def references(self) -> Iterator[Reference]:

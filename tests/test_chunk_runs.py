@@ -3,13 +3,26 @@
 The vectorized hot loops trust :class:`ChunkRuns` to partition a chunk
 into maximal same-L1-block, same-class runs; these tests pin that
 structure against a scalar re-derivation and exercise the cache-sharing
-semantics of :meth:`TraceChunk.tail` and :meth:`TraceChunk.head`.
+semantics of :meth:`TraceChunk.tail` and :meth:`TraceChunk.head`: a
+split chunk's runs are a window over its source's run table, compared
+here in window coordinates against the same oracles.
 """
+
+import gc
+import random
+import tracemalloc
+import weakref
 
 import numpy as np
 from helpers import random_chunks
 
-from repro.trace.record import IFETCH, WRITE, TraceChunk, empty_chunk
+from repro.trace.record import (
+    IFETCH,
+    WRITE,
+    TraceChunk,
+    _compute_runs,
+    empty_chunk,
+)
 
 PAGE_BITS = 12
 L1_BLOCK_BITS = 5
@@ -57,6 +70,41 @@ def assert_runs_match(runs, expected, n):
     assert runs.is_ifetch == [r["is_ifetch"] for r in expected]
     assert runs.writes == [r["writes"] for r in expected]
     assert runs.first_kinds == [r["first_kind"] for r in expected]
+
+
+COLUMNS = (
+    "starts",
+    "lengths",
+    "gvpns",
+    "offsets",
+    "bips",
+    "is_ifetch",
+    "writes",
+    "first_kinds",
+)
+
+
+def assert_same_runs(runs, fresh):
+    """Field-by-field identity of a window with a fresh computation."""
+    assert runs.key == fresh.key
+    assert runs.n == fresh.n
+    for name in COLUMNS:
+        assert getattr(runs, name) == getattr(fresh, name), name
+    # The hot loops read rows(): table starts, window-bounded.
+    rows = [(start - runs.base, *rest) for start, *rest in runs.rows()]
+    assert rows == list(zip(*(getattr(fresh, name) for name in COLUMNS)))
+
+
+def fresh_runs(chunk, geometry=GEOMETRY):
+    """``_compute_runs`` over a copy of the chunk's arrays."""
+    copy = TraceChunk(
+        pid=chunk.pid, kinds=chunk.kinds.copy(), addrs=chunk.addrs.copy()
+    )
+    return _compute_runs(copy, *geometry)
+
+
+def shares_table(runs, root):
+    return all(a is b for a, b in zip(runs._columns, root._columns))
 
 
 def test_runs_match_scalar_derivation():
@@ -157,6 +205,11 @@ def test_tail_slices_runs_at_run_boundary(monkeypatch):
     assert sliced.gvpns == fresh.gvpns
     assert sliced.writes == fresh.writes
     assert sliced.n == fresh.n
+    assert_same_runs(sliced, fresh)
+    assert_runs_match(sliced, scalar_runs(tail), len(tail))
+    # A window over the parent's table, not a copy of its suffix.
+    assert shares_table(sliced, runs)
+    assert tail._runs_src is None
 
 
 def test_tail_mid_run_recomputes():
@@ -187,12 +240,38 @@ def test_chained_splits_derive_through_original_parent(monkeypatch):
     tail = chunk.tail(cut_a)
     deeper = tail.tail(cut_b)
     assert deeper._runs_src is not None
-    assert deeper._runs_src[0] is chunk  # not the intermediate tail
+    assert deeper._runs_src[0] is chunk._runs  # not the intermediate tail
     forbid_compute(monkeypatch)
     derived = deeper.runs_for(*GEOMETRY)
     assert derived.n == len(chunk) - cut_a - cut_b
     # Only the geometry actually asked for was materialised.
     assert list(deeper._runs) == [GEOMETRY]
+    assert shares_table(derived, runs)
+    assert_runs_match(derived, scalar_runs(deeper), len(deeper))
+
+    # The order Simulator.run uses: derive, tail, derive, tail, ...
+    # Every window shares the root's table, a chunk that derived its
+    # window links nowhere, and no split links to the chunk it was
+    # split from, so each intermediate tail dies as soon as the loop
+    # lets go of it (reference counting alone, no cycle collector).
+    cuts = [runs.starts[i] for i in range(1, len(runs.starts), 7)]
+    current = chunk
+    gc.disable()
+    try:
+        for prev_cut, cut in zip([0] + cuts, cuts):
+            window = current.runs_for(*GEOMETRY)
+            assert shares_table(window, runs)
+            assert current._runs_src is None
+            assert_runs_match(window, scalar_runs(current), len(current))
+            split = current.tail(cut - prev_cut)
+            assert not isinstance(split._runs_src[0], TraceChunk)
+            gone = weakref.ref(current)
+            current = split
+            if gone() is not chunk:
+                assert gone() is None
+    finally:
+        gc.enable()
+    assert shares_table(current.runs_for(*GEOMETRY), runs)
 
 
 def test_tail_and_head_share_list_caches():
@@ -238,3 +317,85 @@ def test_list_caches_match_arrays():
     assert chunk.kinds_list == chunk.kinds.tolist()
     assert chunk.addrs_list == chunk.addrs.tolist()
     assert chunk.kinds_list is chunk.kinds_list  # cached, not rebuilt
+
+
+def run_heavy_chunk(seed, n, jump_p):
+    """A chunk of sequential 4-byte steps broken by jumps with
+    probability ``jump_p``, each stretch all instruction fetches or all
+    data (reads and writes mixed), so runs span several references and
+    cuts land mid-run as often as on a boundary."""
+    rng = np.random.default_rng(seed)
+    jumps = rng.random(n) < jump_p
+    steps = np.where(jumps, rng.integers(64, 1 << 14, n) // 4 * 4, 4)
+    addrs = (0x40_0000 + np.cumsum(steps)).astype(np.uint64)
+    stretch = np.cumsum(jumps)
+    ifetch = rng.random(stretch[-1] + 1) < 0.6
+    data = np.where(rng.random(n) < 0.3, WRITE, 0)
+    kinds = np.where(ifetch[stretch], IFETCH, data).astype(np.uint8)
+    return TraceChunk(pid=seed % 3, kinds=kinds, addrs=addrs)
+
+
+def test_random_split_sequences_match_fresh_runs():
+    """Seeded random split sequences -- tails at run boundaries, tails
+    mid-run, heads at and off run boundaries, in any nesting, with or
+    without deriving between splits -- give every chunk the runs a
+    fresh translation of its own arrays gives, in two geometries, and
+    never modify the source chunk's tables."""
+    geometries = (GEOMETRY, (PAGE_BITS - 2, L1_BLOCK_BITS + 1, VPN_SPACE_BITS))
+    ops = ("tail_boundary", "tail_mid", "head_boundary", "head_mid")
+    for seed in range(40):
+        rng = random.Random(seed)
+        chunk = run_heavy_chunk(seed, rng.randrange(40, 400), rng.uniform(0.02, 0.5))
+        roots = [chunk.runs_for(*geometry) for geometry in geometries]
+        snapshot = [[list(column) for column in root._columns] for root in roots]
+        chunks = [chunk]
+        current = chunk
+        for _ in range(rng.randrange(1, 15)):
+            n = len(current)
+            if n < 2:
+                break
+            geometry = rng.choice(geometries)
+            derived = current.runs_for(*geometry) if rng.random() < 0.6 else None
+            boundaries = set(fresh_runs(current, geometry).starts[1:])
+            middles = sorted(set(range(1, n)) - boundaries)
+            op = rng.choice(ops)
+            pool = sorted(boundaries) if op.endswith("boundary") else middles
+            if not pool:
+                continue
+            cut = rng.choice(pool)
+            split = current.tail(cut) if op.startswith("tail") else current.head(cut)
+            if derived is not None and op.endswith("boundary"):
+                # At a run boundary the split's window reuses the table.
+                assert shares_table(split.runs_for(*geometry), derived)
+            chunks.append(split)
+            current = split
+        for piece in chunks:
+            for geometry in rng.sample(geometries, len(geometries)):
+                assert_same_runs(piece.runs_for(*geometry), fresh_runs(piece, geometry))
+        for root, columns in zip(roots, snapshot):
+            assert [list(column) for column in root._columns] == columns
+
+
+def test_split_chain_memory_stays_flat():
+    """200 derive -> tail splits of a 5 000-run chunk, as a switch-on-miss
+    machine preempting every 20 runs would make, allocate no run table:
+    each tail's runs are a window over the first chunk's."""
+    n_runs, step, splits = 5_000, 20, 200
+    # One reference per L1 block: every reference starts a run.
+    addrs = np.arange(n_runs, dtype=np.uint64) << np.uint64(L1_BLOCK_BITS)
+    chunk = TraceChunk(pid=0, kinds=np.zeros(n_runs, np.uint8), addrs=addrs)
+    assert len(chunk.runs_for(*GEOMETRY).starts) == n_runs
+    gc.disable()
+    tracemalloc.start()
+    try:
+        current = chunk
+        for _ in range(splits):
+            current.runs_for(*GEOMETRY)
+            current = current.tail(step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert len(current) == n_runs - splits * step
+    assert_same_runs(current.runs_for(*GEOMETRY), fresh_runs(current))
+    assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"

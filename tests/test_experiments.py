@@ -17,7 +17,8 @@ from repro.experiments.runner import GRID_BUILDERS, iter_cache_files
 def runner():
     # Large enough for the qualitative shape claims (cold-start effects
     # invert them below ~3 M references), small enough for CI.  This is
-    # the slowest fixture in the suite (~2 minutes); every experiment
+    # the slowest fixture in the suite (about 75 s on a 2-vCPU host,
+    # half of it the three switch-on-miss recordings); every experiment
     # test shares it.
     config = ExperimentConfig(
         scale=0.003,
