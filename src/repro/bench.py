@@ -37,10 +37,10 @@ previous snapshot, since refs/s are only comparable within one host.
 ``--check`` runs a fast self-test on a tiny workload instead of
 benchmarking: materialized replay must be byte-identical to live
 synthesis, run records must match between the legacy and materialized
-paths, and -- for plane-eligible machines -- between the unfiltered,
-event-filtered and timing-decoupled execution paths.  CI uses it as a
-smoke gate so none of the fast paths can silently desync from the
-reference behaviour.
+paths, and -- for plane-eligible machines -- a plane-recording run and
+the timing-decoupled replay must both match the plain simulation.  CI
+uses it as a smoke gate so none of the fast paths can silently desync
+from the reference behaviour.
 
 ``--replay`` additionally runs the decision-op **replay-kernel
 microbenchmark**: one preempting plane per machine (switch-on-miss
@@ -81,6 +81,7 @@ from repro.systems.factory import (
     baseline_machine,
     build_system,
     rampage_machine,
+    twoway_machine,
     virtual_l1_machine,
 )
 from repro.systems.simulator import simulate
@@ -382,24 +383,28 @@ def measure_baseline_src(src: str, rounds: int) -> dict:
 
 
 def _check_two_phase(scale: float, seed: int) -> int:
-    """Unfiltered vs event-filtered vs timing-decoupled, byte-for-byte.
+    """Plain vs plane-recording vs timing-decoupled runs, byte-for-byte.
 
     Records one miss plane per eligible machine -- including the
     preempting switch-on-miss and virtual-L1 machines, whose planes
-    carry a decision-op tape -- then asserts that both phase-2 paths
-    reproduce the plain simulation's record exactly, across issue
-    rates, so the decoupled arithmetic is exercised away from the
-    recording cell's clock.
+    carry a decision-op tape -- then asserts that the recording run
+    matches a plain run and that the decoupled replay reproduces the
+    plain simulation's record exactly across issue rates, so the
+    arithmetic is exercised away from the recording cell's clock.
     """
     slice_refs = 4_000
     programs = materialize.get_workload(scale, seed).programs
     machines = {
         "baseline": lambda rate: baseline_machine(rate, 512),
+        "twoway": lambda rate: twoway_machine(rate, 512),
         "rampage": lambda rate: rampage_machine(rate, 1024),
         "rampage_som": lambda rate: rampage_machine(
             rate, 1024, switch_on_miss=True
         ),
         "rampage_vl1": lambda rate: virtual_l1_machine(rate, 1024),
+        "rampage_vl1_som": lambda rate: virtual_l1_machine(
+            rate, 1024, switch_on_miss=True
+        ),
     }
     for label, build in machines.items():
         recorder = missplane.PlaneRecorder(
@@ -411,26 +416,20 @@ def _check_two_phase(scale: float, seed: int) -> int:
         plane = recorder.finalize()
         for rate in (2 * 10**8, 10**9, 4 * 10**9):
             params = build(rate)
-            plain = (
-                recorded
-                if rate == 10**9
-                else simulate(params, programs, slice_refs=slice_refs)
-            )
-            reference = plain.stats.as_dict()
-            filtered = simulate(
-                params, programs, slice_refs=slice_refs, replay_plane=plane
-            )
-            if filtered.stats.as_dict() != reference:
+            reference = simulate(
+                params, programs, slice_refs=slice_refs
+            ).stats.as_dict()
+            if rate == 10**9 and recorded.stats.as_dict() != reference:
                 print(
-                    f"CHECK FAILED: {label} @{rate} Hz event-filtered replay "
-                    "diverges from the unfiltered run"
+                    f"CHECK FAILED: {label} plane-recording run diverges "
+                    "from the plain run"
                 )
                 return 1
             decoupled = missplane.replay_decoupled(params, plane)
             if decoupled.stats.as_dict() != reference:
                 print(
                     f"CHECK FAILED: {label} @{rate} Hz timing-decoupled "
-                    "replay diverges from the unfiltered run"
+                    "replay diverges from the plain run"
                 )
                 return 1
     return 0
@@ -480,7 +479,7 @@ def check() -> int:
 
     Exit code 1 on any divergence.  Cheap enough for CI (a few seconds):
     the goal is catching a desync between the materialized, vectorized,
-    event-filtered and timing-decoupled paths and the reference
+    plane-recording and timing-decoupled paths and the reference
     behaviour, not measuring speed.
     """
     scale, seed = 0.00005, 0
@@ -522,8 +521,8 @@ def check() -> int:
         return 1
     print(
         f"check OK: {plane.total_refs} refs replay byte-identical; "
-        f"records match on {', '.join(machines)}; filtered and decoupled "
-        "replays match the unfiltered runs"
+        f"records match on {', '.join(machines)}; recording runs and "
+        "decoupled replays match the plain runs"
     )
     return 0
 

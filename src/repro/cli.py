@@ -31,7 +31,11 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro import bench
-from repro.core.errors import CacheIntegrityError, ConfigurationError
+from repro.core.errors import (
+    CacheIntegrityError,
+    ConfigurationError,
+    StaleArtifactError,
+)
 from repro.core.timer import ScopedTimer, refs_per_second
 from repro.experiments import ExperimentConfig, ParallelRunner, Runner
 from repro.experiments.runner import (
@@ -40,7 +44,7 @@ from repro.experiments.runner import (
     iter_quarantined_files,
 )
 from repro.reports import FORMATS, cache_status
-from repro.reports.status import ARTIFACT_LAYOUTS, artifact_dirs
+from repro.reports.status import ARTIFACT_LAYOUTS, artifact_dirs, is_stale
 from repro.experiments import (
     figure4,
     figure5,
@@ -188,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_sub.choices["purge"].add_argument(
         "--corrupt-only",
         action="store_true",
-        help="delete only quarantined records and artifacts",
+        help="delete only quarantined records and artifacts, and stale planes",
     )
     cache_sub.choices["stats"].add_argument(
         "--json",
@@ -453,14 +457,17 @@ def _cache_verify(cache_dir: Path, args: argparse.Namespace) -> int:
     quarantined = list(iter_quarantined_files(cache_dir))
     for path in quarantined:
         print(f"QUARANTINED {path.name}")
-    artifacts_checked = artifacts_bad = artifacts_quarantined = 0
-    for kind, root, validate in ARTIFACT_LAYOUTS:
+    artifacts_checked = artifacts_bad = artifacts_stale = artifacts_quarantined = 0
+    for kind, root, validate, _ in ARTIFACT_LAYOUTS:
         live, held = artifact_dirs(root(cache_dir))
         artifacts_quarantined += len(held)
         for path in live:
             artifacts_checked += 1
             try:
                 validate(path)
+            except StaleArtifactError:
+                artifacts_stale += 1
+                print(f"STALE {kind} {path.name}")
             except (OSError, CacheIntegrityError) as error:
                 artifacts_bad += 1
                 print(f"CORRUPT {kind} {path.name}: {error}")
@@ -470,12 +477,13 @@ def _cache_verify(cache_dir: Path, args: argparse.Namespace) -> int:
         f"verified {checked} records: {checked - bad} ok, {bad} corrupt, "
         f"{len(quarantined)} quarantined"
     )
+    artifacts_ok = artifacts_checked - artifacts_bad - artifacts_stale
     print(
         f"verified {artifacts_checked} artifacts: "
-        f"{artifacts_checked - artifacts_bad} ok, {artifacts_bad} corrupt, "
-        f"{artifacts_quarantined} quarantined"
+        f"{artifacts_ok} ok, {artifacts_bad} corrupt, "
+        f"{artifacts_quarantined} quarantined, {artifacts_stale} stale"
     )
-    if bad or quarantined or artifacts_bad or artifacts_quarantined:
+    if bad or quarantined or artifacts_bad or artifacts_stale or artifacts_quarantined:
         print("run 'rampage-sim cache purge --corrupt-only' to discard them")
         return 1
     return 0
@@ -493,9 +501,12 @@ def _cache_purge(cache_dir: Path, args: argparse.Namespace) -> int:
         except OSError:
             pass
     dirs_removed = 0
-    for _, root, _ in ARTIFACT_LAYOUTS:
+    for _, root, _, read_manifest in ARTIFACT_LAYOUTS:
         live, held = artifact_dirs(root(cache_dir))
-        doomed = held if args.corrupt_only else held + live
+        if args.corrupt_only:
+            doomed = held + [p for p in live if is_stale(read_manifest, p)]
+        else:
+            doomed = held + live
         for path in doomed:
             try:
                 shutil.rmtree(path)

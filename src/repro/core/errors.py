@@ -42,3 +42,12 @@ class CacheIntegrityError(ReproError, ValueError):
     treats this as a cache *miss* -- the file is quarantined and the
     cell recomputed -- so corruption never aborts a sweep.
     """
+
+
+class StaleArtifactError(CacheIntegrityError):
+    """A cache artifact was written in an older, unreachable layout.
+
+    Its key hashes the old schema, so no lookup can find it; ``cache
+    verify`` reports it as stale rather than corrupt and ``cache purge
+    --corrupt-only`` removes it.
+    """

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Callable
 
-from repro.core.errors import CacheIntegrityError
+from repro.core.errors import CacheIntegrityError, StaleArtifactError
 from repro.core.observe import read_manifest
 from repro.experiments.runner import (
     decode_cache_entry,
@@ -25,10 +25,17 @@ from repro.trace import filter as missplane
 from repro.trace import materialize
 
 #: Artifact layouts living under the cache directory, beyond the
-#: ``<key>.json`` records: (kind, subdirectory resolver, validator).
-ARTIFACT_LAYOUTS: tuple[tuple[str, Callable, Callable], ...] = (
-    ("trace", materialize.trace_root, materialize.load_artifact),
-    ("plane", missplane.plane_root, missplane.load_plane),
+#: ``<key>.json`` records: (kind, subdirectory resolver, validator,
+#: manifest reader).  The reader is the cheap check that tells a stale
+#: layout (:class:`StaleArtifactError`) from a live one.
+ARTIFACT_LAYOUTS: tuple[tuple[str, Callable, Callable, Callable], ...] = (
+    (
+        "trace",
+        materialize.trace_root,
+        materialize.load_artifact,
+        materialize.read_manifest,
+    ),
+    ("plane", missplane.plane_root, missplane.load_plane, missplane.read_manifest),
 )
 
 
@@ -55,6 +62,17 @@ def artifact_dirs(root: Path) -> tuple[list[Path], list[Path]]:
     return live, quarantined
 
 
+def is_stale(read_manifest: Callable, path: Path) -> bool:
+    """True when ``path`` holds an artifact of an unreachable old layout."""
+    try:
+        read_manifest(path)
+    except StaleArtifactError:
+        return True
+    except (OSError, CacheIntegrityError):
+        return False
+    return False
+
+
 def cache_status(cache_dir: str | Path | None) -> dict:
     """One JSON-friendly summary of a run-record cache directory."""
     if cache_dir is None:
@@ -75,7 +93,7 @@ def cache_status(cache_dir: str | Path | None) -> dict:
             continue
         by_label[record.label] = by_label.get(record.label, 0) + 1
     artifacts = {}
-    for kind, root, _ in ARTIFACT_LAYOUTS:
+    for kind, root, _, _ in ARTIFACT_LAYOUTS:
         live, held = artifact_dirs(root(cache_dir))
         artifacts[kind] = {
             "live": len(live),

@@ -579,7 +579,10 @@ class SweepService:
 
         Events between subscription and the snapshot can be delivered
         twice; consumers key on ``done``/``key`` so replays are benign
-        (documented at-least-once semantics).
+        (documented at-least-once semantics).  Once the store reads the
+        job terminal, progress still queued on the channel is drained
+        without waiting before the terminal event, which is sent
+        exactly once.
         """
         channel = self.scheduler.subscribe(job.id)
         loop = asyncio.get_running_loop()
@@ -607,18 +610,28 @@ class SweepService:
                     await writer.drain()
                     current = self.store.get(job.id)
                     continue
-                await self._send_event(
-                    writer, str(payload.get("event", "progress")), payload
-                )
-                if payload.get("event") in ("job_completed", "job_failed"):
+                if await self._forward(writer, payload):
                     return
                 current = self.store.get(job.id)
             final = self.store.get(job.id)
             if final is not None and final.terminal:
+                while True:
+                    try:
+                        payload = channel.get_nowait()
+                    except queue.Empty:
+                        break
+                    if await self._forward(writer, payload):
+                        return
                 name = "job_completed" if final.status == "completed" else "job_failed"
                 await self._send_event(writer, name, final.as_dict())
         finally:
             self.scheduler.unsubscribe(job.id, channel)
+
+    async def _forward(self, writer: asyncio.StreamWriter, payload: dict) -> bool:
+        """Send one channel payload; True when it was the terminal event."""
+        event = str(payload.get("event", "progress"))
+        await self._send_event(writer, event, payload)
+        return event in ("job_completed", "job_failed")
 
     @staticmethod
     async def _send_event(

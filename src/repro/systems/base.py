@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.clock import SimClock, ps_to_seconds
-from repro.core.errors import ConfigurationError, SimulationError
+from repro.core.errors import ConfigurationError
 from repro.core.params import MachineParams
 from repro.core.rng import XorShiftRNG
 from repro.core.stats import SimStats
@@ -33,19 +33,11 @@ from repro.mem.cache import SetAssociativeCache
 from repro.mem.dram import RambusChannel
 from repro.mem.tlb import TLB
 from repro.ossim.handlers import HandlerLibrary
-from repro.trace.filter import (
-    FLAG_FIRST_WRITE,
-    FLAG_IFETCH,
-    FLAG_L1_MISS,
-    FLAG_PREEMPT,
-    FLAG_TRANSLATE,
-    PlaneReplayError,
-)
-from repro.trace.record import IFETCH, READ, WRITE, TraceChunk
+from repro.trace.record import IFETCH, WRITE, TraceChunk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ossim.footprint import OsLayout
-    from repro.trace.filter import MissPlane, PlaneRecorder
+    from repro.trace.filter import PlaneRecorder
 
 
 @dataclass(frozen=True)
@@ -93,11 +85,6 @@ class MemorySystem:
 
     kind = "abstract"
 
-    #: Subclasses whose front-end is a scalar loop with its own
-    #: plane-capable recording/filtered variants (virtual-L1) set this
-    #: to relax the generic-L1 requirement of ``_check_plane_capable``.
-    _plane_scalar_front_end = False
-
     def __init__(self, params: MachineParams) -> None:
         self.params = params
         self.clock = SimClock(params.issue_rate_hz)
@@ -142,14 +129,8 @@ class MemorySystem:
         # (see _handler_runs).  Entries pin the refs list, keeping its
         # id() stable for the lifetime of the entry.
         self._handler_run_cache: dict[int, tuple[list, list]] = {}
-        # Two-phase sweep hooks (repro.trace.filter): at most one of a
-        # plane recorder (this run also writes the miss plane) or an
-        # attached plane (this run replays only the plane's events).
-        self._plane_sink: "PlaneRecorder | None" = None
-        self._plane_replay: "MissPlane | None" = None
-        self._plane_cursor = 0
-        # Timing-tape tap: a recording run appends each synchronous DRAM
-        # transfer's byte count here (see trace/filter.py).
+        # Two-phase sweep taps (repro.trace.filter): a recording run
+        # appends each synchronous DRAM transfer's byte count here.
         self._tape_sink: list[int] | None = None
         # Decision-op tap: set to the recorder only when recording a
         # preempting (switch-on-miss) machine; every DRAM interaction
@@ -368,434 +349,26 @@ class MemorySystem:
         return consumed
 
     # ------------------------------------------------------------------
-    # Two-phase sweeps: miss-plane recording and filtered replay
+    # Two-phase sweeps: miss-plane recording
     # ------------------------------------------------------------------
 
-    def _check_plane_capable(self) -> None:
-        """Both plane modes need a plane-describable front-end.
+    def attach_plane_recorder(self, recorder: "PlaneRecorder") -> None:
+        """Record a miss plane while this run simulates normally.
 
-        Associative L1s take the scalar path the plane does not
-        describe, and subclasses that retag references outside the
-        generic physical block space need their own plane-capable
-        loops (``_plane_scalar_front_end``).  Switch-on-miss machines
-        are capable: preemptions are recorded as chunk-terminating
-        events and their DRAM timing on the decision-op tape.
+        Recording is a side output of the production chunk loop: only
+        the DRAM taps (``_dram_sync``, and on RAMpage ``_page_fault``
+        and ``_below_l1_fetch``) feed the recorder.  Switch-on-miss
+        machines also fill its decision-op tape.  Associative L1s are
+        refused, matching :func:`~repro.trace.filter.plane_eligible`.
         """
-        if (
-            self.l1i.ways != 1
-            or self.l1d.ways != 1
-            or not (self._generic_l1_access or self._plane_scalar_front_end)
-        ):
+        if self.l1i.ways != 1 or self.l1d.ways != 1:
             raise ConfigurationError(
                 f"{self.kind} machine with L1 ways "
-                f"({self.l1i.ways}, {self.l1d.ways}) cannot record or "
-                "replay a miss plane"
+                f"({self.l1i.ways}, {self.l1d.ways}) cannot record a miss "
+                "plane"
             )
-
-    def attach_plane_recorder(self, recorder: "PlaneRecorder") -> None:
-        """Record a miss plane while this run simulates normally."""
-        self._check_plane_capable()
-        self._plane_sink = recorder
         self._tape_sink = recorder.tape
         self._dop_sink = recorder if self.params.switch_on_miss else None
-        self._plane_replay = None
-
-    def attach_plane_replay(self, plane: "MissPlane") -> None:
-        """Replay a recorded miss plane instead of the full front-end."""
-        self._check_plane_capable()
-        self._plane_replay = plane
-        self._plane_sink = None
-        self._tape_sink = None
-        self._dop_sink = None
-        self._plane_cursor = 0
-
-    def _run_chunk_recording(self, chunk: TraceChunk, stable_translation: bool) -> int:
-        """The vectorized hot loop, plus miss-plane recording taps.
-
-        Identical control flow, state updates and timing arithmetic to
-        :meth:`_run_chunk_vectorized` -- the recording run's results are
-        cached as an ordinary cell, so it must stay byte-identical.  On
-        top of that it classifies every run: runs that reach a TLB- or
-        L1-miss path become plane *events* (recorded with the frame the
-        run actually used and the original write count), runs settled
-        entirely by L1 hits melt into per-gap aggregate counters plus an
-        explicit list of dirty bits newly set within the gap.
-        """
-        recorder = self._plane_sink
-        recorder.begin_chunk()
-        runs = chunk.runs_for(
-            self._page_bits, self._l1_block_bits, self._vpn_space_bits
-        )
-        page_bits = self._page_bits
-        frame_shift = page_bits - self._l1_block_bits
-        tlb = self.tlb
-        if tlb.num_sets == 1:
-            tlb_get = tlb._maps[0].get
-        else:
-            tlb_get = tlb.peek
-        l1i, l1d = self.l1i, self.l1d
-        i_tags, d_tags = l1i.tags, l1d.tags
-        d_dirty = l1d.dirty
-        i_mask, d_mask = l1i.set_mask, l1d.set_mask
-        hit_c = self._l1_hit_cycles
-        clock = self.clock
-        lt = self.lt
-        stats = self.stats
-        ifetches = reads = writes = 0
-        i_hits = d_hits = 0
-        icycles = 0
-        tlb_hits = 0
-        tlb_misses = 0
-        last_vpn = -1
-        last_frame = 0
-        g_if = g_rd = g_wr = 0
-        g_dirty: list[int] = []
-        consumed = runs.n
-        for start, length, gvpn, offset, bip, is_ifetch, w, first_kind in runs.rows():
-            flags = 0
-            if gvpn == last_vpn:
-                frame = last_frame
-                tlb_hits += length
-            else:
-                frame = tlb_get(gvpn)
-                if frame is None:
-                    flags = FLAG_TRANSLATE
-                    tlb_misses += 1
-                    if icycles:
-                        lt.l1i += clock.tick_cycles(icycles)
-                        icycles = 0
-                    frame = self._translate(gvpn)
-                    if self._preempted:
-                        self._preempted = False
-                        if self._dop_sink is None:
-                            raise SimulationError(
-                                "preemption during miss-plane recording of "
-                                "a machine without a decision-op tape"
-                            )
-                        # The faulting run never executed: record it as
-                        # the chunk-terminating preempt event (replay
-                        # re-runs the translate live and expects the
-                        # same preemption) and hand the tail back.
-                        if is_ifetch:
-                            flags |= FLAG_IFETCH
-                        elif first_kind == WRITE:
-                            flags |= FLAG_FIRST_WRITE
-                        recorder.event(
-                            gvpn, frame, length, offset, bip, int(w),
-                            flags | FLAG_PREEMPT, g_if, g_rd, g_wr, g_dirty,
-                        )
-                        g_if = g_rd = g_wr = 0
-                        g_dirty = []
-                        consumed = start - runs.base
-                        break
-                    if stable_translation:
-                        last_vpn = gvpn
-                        last_frame = frame
-                        tlb_hits += length - 1
-                    elif length > 1:
-                        frame = tlb_get(gvpn)
-                        last_vpn = gvpn
-                        last_frame = frame
-                        tlb_hits += length - 1
-                    else:
-                        last_vpn = -1
-                else:
-                    last_vpn = gvpn
-                    last_frame = frame
-                    tlb_hits += length
-            block = (frame << frame_shift) | bip
-            if is_ifetch:
-                ifetches += length
-                if i_tags[block & i_mask] == block:
-                    i_hits += length
-                    icycles += length * hit_c
-                    if flags:
-                        recorder.event(
-                            gvpn, frame, length, offset, bip, 0,
-                            flags | FLAG_IFETCH, g_if, g_rd, g_wr, g_dirty,
-                        )
-                        g_if = g_rd = g_wr = 0
-                        g_dirty = []
-                    else:
-                        g_if += length
-                else:
-                    if icycles:
-                        lt.l1i += clock.tick_cycles(icycles)
-                        icycles = 0
-                    self._l1_miss(
-                        l1i, block, (frame << page_bits) | offset, IFETCH
-                    )
-                    i_hits += length - 1
-                    icycles += (length - 1) * hit_c
-                    recorder.event(
-                        gvpn, frame, length, offset, bip, 0,
-                        flags | FLAG_IFETCH | FLAG_L1_MISS,
-                        g_if, g_rd, g_wr, g_dirty,
-                    )
-                    g_if = g_rd = g_wr = 0
-                    g_dirty = []
-            else:
-                w0 = w
-                slot = block & d_mask
-                if d_tags[slot] == block:
-                    d_hits += length
-                    writes += w
-                    reads += length - w
-                    if w:
-                        # Replay applies a skipped gap run's 0->1 dirty
-                        # transitions explicitly (evictions and flushes
-                        # read the bit); event runs replay live.
-                        if flags:
-                            d_dirty[slot] = 1
-                        elif not d_dirty[slot]:
-                            d_dirty[slot] = 1
-                            g_dirty.append(block)
-                    if flags:
-                        recorder.event(
-                            gvpn, frame, length, offset, bip, w0, flags,
-                            g_if, g_rd, g_wr, g_dirty,
-                        )
-                        g_if = g_rd = g_wr = 0
-                        g_dirty = []
-                    else:
-                        g_wr += w
-                        g_rd += length - w
-                else:
-                    if first_kind == WRITE:
-                        flags |= FLAG_FIRST_WRITE
-                        writes += 1
-                        w -= 1
-                    else:
-                        reads += 1
-                    if icycles:
-                        lt.l1i += clock.tick_cycles(icycles)
-                        icycles = 0
-                    self._l1_miss(
-                        l1d, block, (frame << page_bits) | offset, first_kind
-                    )
-                    rest = length - 1
-                    if rest:
-                        d_hits += rest
-                        writes += w
-                        reads += rest - w
-                        if w:
-                            d_dirty[slot] = 1
-                    recorder.event(
-                        gvpn, frame, length, offset, bip, w0,
-                        flags | FLAG_L1_MISS, g_if, g_rd, g_wr, g_dirty,
-                    )
-                    g_if = g_rd = g_wr = 0
-                    g_dirty = []
-        if icycles:
-            lt.l1i += clock.tick_cycles(icycles)
-        tlb.hits += tlb_hits
-        tlb.misses += tlb_misses
-        stats.ifetches += ifetches
-        stats.reads += reads
-        stats.writes += writes
-        stats.l1i_hits += i_hits
-        stats.l1d_hits += d_hits
-        recorder.end_chunk(chunk.pid, runs.n, consumed, g_if, g_rd, g_wr, g_dirty)
-        return consumed
-
-    def _run_chunk_filtered(self, chunk: TraceChunk, stable_translation: bool) -> int:
-        """Replay a chunk from the attached miss plane.
-
-        Walks only the plane's recorded events -- every run that reached
-        a TLB- or L1-miss path when the plane was recorded -- and folds
-        each inter-event gap in O(1): bulk hit/ref counters, one batched
-        instruction-hit cycle charge, and the gap's recorded dirty-bit
-        transitions.  Everything timed runs live (translations, handler
-        software, L2/SRAM/DRAM traffic), so the back-end sees the exact
-        reference sequence of the unfiltered run and the produced
-        records are byte-identical; gap skipping never needs the
-        chunk's reference arrays at all.
-
-        Divergence -- a chunk that does not line up with the plane's
-        chunk table, or a recorded L1 outcome contradicting the live tag
-        state -- raises :class:`PlaneReplayError`; callers quarantine
-        the plane and rerun unfiltered.
-        """
-        plane = self._plane_replay
-        ordinal = self._plane_cursor
-        self._plane_cursor = ordinal + 1
-        view = plane.chunk_view(ordinal)
-        if view.pid != chunk.pid or view.n_refs != len(chunk):
-            raise PlaneReplayError(
-                f"plane chunk {ordinal} is (pid={view.pid}, "
-                f"n_refs={view.n_refs}); the workload drove "
-                f"(pid={chunk.pid}, n_refs={len(chunk)})"
-            )
-        page_bits = self._page_bits
-        frame_shift = page_bits - self._l1_block_bits
-        tlb = self.tlb
-        if tlb.num_sets == 1:
-            tlb_get = tlb._maps[0].get
-        else:
-            tlb_get = tlb.peek
-        l1i, l1d = self.l1i, self.l1d
-        i_tags, d_tags = l1i.tags, l1d.tags
-        d_dirty = l1d.dirty
-        i_mask, d_mask = l1i.set_mask, l1d.set_mask
-        hit_c = self._l1_hit_cycles
-        clock = self.clock
-        lt = self.lt
-        stats = self.stats
-        ifetches = reads = writes = 0
-        i_hits = d_hits = 0
-        icycles = 0
-        tlb_hits = 0
-        tlb_misses = 0
-        ev_gvpn = view.ev_gvpn
-        ev_frame = view.ev_frame
-        ev_length = view.ev_length
-        ev_offset = view.ev_offset
-        ev_bip = view.ev_bip
-        ev_writes = view.ev_writes
-        ev_flags = view.ev_flags
-        gap_ifetch = view.gap_ifetch
-        gap_reads = view.gap_reads
-        gap_writes = view.gap_writes
-        gap_dirty = view.gap_dirty
-        preempted = False
-        for index in range(view.n_events + 1):
-            # Fold the gap preceding event ``index`` (the last gap,
-            # after the final event, closes the chunk).  Gap references
-            # are all L1 and TLB hits by construction: data hits are
-            # untimed, instruction hits join the running cycle batch.
-            g_if = gap_ifetch[index]
-            g_rd = gap_reads[index]
-            g_wr = gap_writes[index]
-            ifetches += g_if
-            reads += g_rd
-            writes += g_wr
-            i_hits += g_if
-            d_hits += g_rd + g_wr
-            icycles += g_if * hit_c
-            tlb_hits += g_if + g_rd + g_wr
-            for block in gap_dirty[index]:
-                d_dirty[block & d_mask] = 1
-            if index == view.n_events:
-                break
-            flags = ev_flags[index]
-            gvpn = ev_gvpn[index]
-            length = ev_length[index]
-            if flags & FLAG_TRANSLATE:
-                tlb_misses += 1
-                if icycles:
-                    lt.l1i += clock.tick_cycles(icycles)
-                    icycles = 0
-                frame = self._translate(gvpn)
-                if self._preempted:
-                    self._preempted = False
-                    if not flags & FLAG_PREEMPT:
-                        raise PlaneReplayError(
-                            "live preemption where the plane recorded none"
-                        )
-                    if index != view.n_events - 1:
-                        raise PlaneReplayError(
-                            "preempt event is not the plane chunk's last"
-                        )
-                    preempted = True
-                    break
-                if flags & FLAG_PREEMPT:
-                    raise PlaneReplayError(
-                        "no live preemption where the plane recorded one"
-                    )
-                if stable_translation:
-                    tlb_hits += length - 1
-                elif length > 1:
-                    frame = tlb_get(gvpn)
-                    tlb_hits += length - 1
-            else:
-                if flags & FLAG_PREEMPT:
-                    raise PlaneReplayError(
-                        "preempt event without a translate flag"
-                    )
-                frame = ev_frame[index]
-                tlb_hits += length
-            block = (frame << frame_shift) | ev_bip[index]
-            if flags & FLAG_IFETCH:
-                ifetches += length
-                if i_tags[block & i_mask] == block:
-                    if flags & FLAG_L1_MISS:
-                        raise PlaneReplayError(
-                            "live L1I hit where the plane recorded a miss"
-                        )
-                    i_hits += length
-                    icycles += length * hit_c
-                else:
-                    if not flags & FLAG_L1_MISS:
-                        raise PlaneReplayError(
-                            "live L1I miss where the plane recorded a hit"
-                        )
-                    if icycles:
-                        lt.l1i += clock.tick_cycles(icycles)
-                        icycles = 0
-                    self._l1_miss(
-                        l1i,
-                        block,
-                        (frame << page_bits) | ev_offset[index],
-                        IFETCH,
-                    )
-                    i_hits += length - 1
-                    icycles += (length - 1) * hit_c
-            else:
-                w = ev_writes[index]
-                slot = block & d_mask
-                if d_tags[slot] == block:
-                    if flags & FLAG_L1_MISS:
-                        raise PlaneReplayError(
-                            "live L1D hit where the plane recorded a miss"
-                        )
-                    d_hits += length
-                    writes += w
-                    reads += length - w
-                    if w:
-                        d_dirty[slot] = 1
-                else:
-                    if not flags & FLAG_L1_MISS:
-                        raise PlaneReplayError(
-                            "live L1D miss where the plane recorded a hit"
-                        )
-                    if flags & FLAG_FIRST_WRITE:
-                        first_kind = WRITE
-                        writes += 1
-                        w -= 1
-                    else:
-                        first_kind = READ
-                        reads += 1
-                    if icycles:
-                        lt.l1i += clock.tick_cycles(icycles)
-                        icycles = 0
-                    self._l1_miss(
-                        l1d,
-                        block,
-                        (frame << page_bits) | ev_offset[index],
-                        first_kind,
-                    )
-                    rest = length - 1
-                    if rest:
-                        d_hits += rest
-                        writes += w
-                        reads += rest - w
-                        if w:
-                            d_dirty[slot] = 1
-        if icycles:
-            lt.l1i += clock.tick_cycles(icycles)
-        tlb.hits += tlb_hits
-        tlb.misses += tlb_misses
-        stats.ifetches += ifetches
-        stats.reads += reads
-        stats.writes += writes
-        stats.l1i_hits += i_hits
-        stats.l1d_hits += d_hits
-        if not preempted and view.consumed != view.n_refs:
-            raise PlaneReplayError(
-                f"plane chunk consumed {view.consumed} of {view.n_refs} "
-                "references but recorded no preemption"
-            )
-        return view.consumed
 
     # ------------------------------------------------------------------
     # L1 handling (shared by workload and handler references)

@@ -150,10 +150,6 @@ class ConventionalSystem(MemorySystem):
         back to the scalar loop below.
         """
         if self.l1i.ways == 1 and self.l1d.ways == 1:
-            if self._plane_replay is not None:
-                return self._run_chunk_filtered(chunk, stable_translation=True)
-            if self._plane_sink is not None:
-                return self._run_chunk_recording(chunk, stable_translation=True)
             return self._run_chunk_vectorized(chunk, stable_translation=True)
         return self._run_chunk_scalar(chunk)
 

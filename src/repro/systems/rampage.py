@@ -200,10 +200,6 @@ class RampageSystem(MemorySystem):
         """
         self._current_pid = chunk.pid
         if self.l1i.ways == 1 and self.l1d.ways == 1:
-            if self._plane_replay is not None:
-                return self._run_chunk_filtered(chunk, stable_translation=False)
-            if self._plane_sink is not None:
-                return self._run_chunk_recording(chunk, stable_translation=False)
             return self._run_chunk_vectorized(chunk, stable_translation=False)
         return self._run_chunk_scalar(chunk)
 

@@ -74,7 +74,6 @@ def simulate(
     slice_refs: int = 500_000,
     max_refs: int | None = None,
     record_plane=None,
-    replay_plane=None,
 ) -> SimulationResult:
     """Build a machine for ``params`` and run it over ``programs``.
 
@@ -82,32 +81,18 @@ def simulate(
     one cell of the paper's result tables.
 
     ``record_plane`` (a :class:`~repro.trace.filter.PlaneRecorder`)
-    additionally records the run's miss plane; ``replay_plane`` (a
-    :class:`~repro.trace.filter.MissPlane`) replays one instead of
-    simulating the full L1/TLB front-end.  At most one may be given.
+    additionally records the run's miss plane; the run itself is the
+    plain simulation, so its result is byte-identical either way.
     """
     from repro.systems.factory import build_system
 
-    if record_plane is not None and replay_plane is not None:
-        raise ConfigurationError(
-            "simulate() accepts record_plane or replay_plane, not both"
-        )
     system = build_system(params)
     if record_plane is not None:
         system.attach_plane_recorder(record_plane)
-    elif replay_plane is not None:
-        system.attach_plane_replay(replay_plane)
     workload = InterleavedWorkload(programs, slice_refs=slice_refs)
     result = Simulator(system, workload).run(max_refs=max_refs)
     if record_plane is not None:
         record_plane.capture(
-            system.clock.cycle_ps, result.stats.as_dict(), system.params.dram
-        )
-    if replay_plane is not None and system._plane_cursor != replay_plane.num_chunks:
-        from repro.trace.filter import PlaneReplayError
-
-        raise PlaneReplayError(
-            f"workload drove {system._plane_cursor} chunks; the plane "
-            f"recorded {replay_plane.num_chunks}"
+            system.clock.cycle_ps, result.stats.as_dict(), system.params
         )
     return result

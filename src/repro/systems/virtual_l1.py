@@ -35,19 +35,11 @@ asymmetry is itself one of the paper's hardware-vs-software points.
 
 from __future__ import annotations
 
-from repro.core.errors import ConfigurationError, SimulationError
+from repro.core.errors import ConfigurationError
 from repro.core.params import MachineParams
 from repro.mem.inverted_page_table import FREE
 from repro.systems.rampage import DRAM_TABLE_ENTRY_BYTES, RampageSystem
-from repro.trace.filter import (
-    FLAG_FIRST_WRITE,
-    FLAG_IFETCH,
-    FLAG_L1_MISS,
-    FLAG_PREEMPT,
-    FLAG_TRANSLATE,
-    PlaneReplayError,
-)
-from repro.trace.record import IFETCH, READ, WRITE, TraceChunk
+from repro.trace.record import IFETCH, WRITE, TraceChunk
 
 #: Reserved "process id" tagging the OS's physically-addressed handler
 #: references so they can share the virtually-indexed L1s without
@@ -59,12 +51,6 @@ class VirtualL1RampageSystem(RampageSystem):
     """RAMpage variant translating only on L1 misses."""
 
     kind = "rampage"
-
-    #: The virtual front-end has its own scalar plane loops below; the
-    #: generic run-collapsed recorder does not apply (references are
-    #: tagged in virtual-block space), but planes are still sound: one
-    #: event per L1 miss, gap aggregates for the untranslated hits.
-    _plane_scalar_front_end = True
 
     def __init__(self, params: MachineParams) -> None:
         if params.kind != "rampage":
@@ -116,10 +102,6 @@ class VirtualL1RampageSystem(RampageSystem):
 
     def run_chunk(self, chunk: TraceChunk) -> int:
         """Scalar loop; the virtual path has no inlined fast loop."""
-        if self._plane_replay is not None:
-            return self._run_chunk_filtered_virtual(chunk)
-        if self._plane_sink is not None:
-            return self._run_chunk_recording_virtual(chunk)
         pid = chunk.pid
         kinds = chunk.kinds.tolist()
         addrs = chunk.addrs.tolist()
@@ -127,253 +109,6 @@ class VirtualL1RampageSystem(RampageSystem):
             if not self.access(kinds[idx], addrs[idx], pid):
                 return idx
         return len(kinds)
-
-    # ------------------------------------------------------------------
-    # Two-phase sweeps: the virtual front-end's plane loops
-    # ------------------------------------------------------------------
-
-    def _run_chunk_recording_virtual(self, chunk: TraceChunk) -> int:
-        """The scalar loop of :meth:`access`, plus plane recording taps.
-
-        Identical control flow, state updates and timing arithmetic to
-        the unrecorded loop (the recording run's results are cached as
-        an ordinary cell).  Every L1 miss becomes one plane event
-        (``length == 1``; ``bip`` stores the virtual block, ``offset``
-        the in-page offset); L1 hits -- which never probe the TLB here
-        -- melt into the gap aggregates, with 0->1 dirty transitions
-        recorded per virtual block.  Instruction-hit cycles batch
-        exactly like the run-collapsed recorder: flushed before every
-        event, the only point where anything reads the clock.
-        """
-        recorder = self._plane_sink
-        recorder.begin_chunk()
-        pid = chunk.pid
-        self._current_pid = pid
-        kinds = chunk.kinds.tolist()
-        addrs = chunk.addrs.tolist()
-        n = len(kinds)
-        vblock_shift = self._vblock_shift
-        l1_bits = self._l1_block_bits
-        page_bits = self._page_bits
-        page_mask = self._page_mask
-        hit_c = self._l1_hit_cycles
-        l1i, l1d = self.l1i, self.l1d
-        clock = self.clock
-        lt = self.lt
-        stats = self.stats
-        ifetches = reads = writes = 0
-        i_hits = d_hits = 0
-        icycles = 0
-        g_if = g_rd = g_wr = 0
-        g_dirty: list[int] = []
-        consumed = n
-        for idx in range(n):
-            kind = kinds[idx]
-            vaddr = addrs[idx]
-            vblock = (pid << vblock_shift) | (vaddr >> l1_bits)
-            cache = l1i if kind == IFETCH else l1d
-            slot = cache.slot_of(vblock)
-            if slot != -1:
-                if kind == IFETCH:
-                    ifetches += 1
-                    i_hits += 1
-                    icycles += hit_c
-                    g_if += 1
-                else:
-                    if kind == WRITE:
-                        writes += 1
-                        if not cache.dirty[slot]:
-                            cache.dirty[slot] = 1
-                            g_dirty.append(vblock)
-                        g_wr += 1
-                    else:
-                        reads += 1
-                        g_rd += 1
-                    d_hits += 1
-                continue
-            if icycles:
-                lt.l1i += clock.tick_cycles(icycles)
-                icycles = 0
-            flags = FLAG_L1_MISS
-            if kind == IFETCH:
-                flags |= FLAG_IFETCH
-            elif kind == WRITE:
-                flags |= FLAG_FIRST_WRITE
-            gvpn = self.global_vpn(vaddr, pid)
-            frame = self.tlb.lookup(gvpn)
-            if frame is None:
-                flags |= FLAG_TRANSLATE
-                frame = self._translate(gvpn)
-                if self._preempted:
-                    self._preempted = False
-                    if self._dop_sink is None:
-                        raise SimulationError(
-                            "preemption during miss-plane recording of "
-                            "a machine without a decision-op tape"
-                        )
-                    recorder.event(
-                        gvpn, frame, 1, vaddr & page_mask, vblock,
-                        1 if kind == WRITE else 0,
-                        flags | FLAG_PREEMPT, g_if, g_rd, g_wr, g_dirty,
-                    )
-                    g_if = g_rd = g_wr = 0
-                    g_dirty = []
-                    consumed = idx
-                    break
-            if kind == IFETCH:
-                ifetches += 1
-            elif kind == WRITE:
-                writes += 1
-            else:
-                reads += 1
-            self._l1_miss(
-                cache, vblock, (frame << page_bits) | (vaddr & page_mask), kind
-            )
-            recorder.event(
-                gvpn, frame, 1, vaddr & page_mask, vblock,
-                1 if kind == WRITE else 0,
-                flags, g_if, g_rd, g_wr, g_dirty,
-            )
-            g_if = g_rd = g_wr = 0
-            g_dirty = []
-        if icycles:
-            lt.l1i += clock.tick_cycles(icycles)
-        stats.ifetches += ifetches
-        stats.reads += reads
-        stats.writes += writes
-        stats.l1i_hits += i_hits
-        stats.l1d_hits += d_hits
-        recorder.end_chunk(pid, n, consumed, g_if, g_rd, g_wr, g_dirty)
-        return consumed
-
-    def _run_chunk_filtered_virtual(self, chunk: TraceChunk) -> int:
-        """Replay a chunk of the virtual front-end from its plane.
-
-        Gap references are L1 hits that never reached the TLB: bulk
-        counters, one batched instruction-cycle charge, and the
-        recorded dirty transitions.  Events run live below the L1
-        (translations, handlers, faults, the preemption protocol), so
-        the back-end sees the exact reference sequence of the
-        unfiltered run.
-        """
-        plane = self._plane_replay
-        ordinal = self._plane_cursor
-        self._plane_cursor = ordinal + 1
-        view = plane.chunk_view(ordinal)
-        if view.pid != chunk.pid or view.n_refs != len(chunk):
-            raise PlaneReplayError(
-                f"plane chunk {ordinal} is (pid={view.pid}, "
-                f"n_refs={view.n_refs}); the workload drove "
-                f"(pid={chunk.pid}, n_refs={len(chunk)})"
-            )
-        self._current_pid = chunk.pid
-        page_bits = self._page_bits
-        hit_c = self._l1_hit_cycles
-        l1i, l1d = self.l1i, self.l1d
-        d_mask = l1d.set_mask
-        d_dirty = l1d.dirty
-        clock = self.clock
-        lt = self.lt
-        stats = self.stats
-        ifetches = reads = writes = 0
-        i_hits = d_hits = 0
-        icycles = 0
-        tlb_hits = 0
-        tlb_misses = 0
-        ev_gvpn = view.ev_gvpn
-        ev_frame = view.ev_frame
-        ev_offset = view.ev_offset
-        ev_bip = view.ev_bip
-        ev_flags = view.ev_flags
-        gap_ifetch = view.gap_ifetch
-        gap_reads = view.gap_reads
-        gap_writes = view.gap_writes
-        gap_dirty = view.gap_dirty
-        preempted = False
-        for index in range(view.n_events + 1):
-            # Gap references never probed the TLB (the virtual hit path
-            # has no translation), so only L1 counters fold here.
-            g_if = gap_ifetch[index]
-            g_rd = gap_reads[index]
-            g_wr = gap_writes[index]
-            ifetches += g_if
-            reads += g_rd
-            writes += g_wr
-            i_hits += g_if
-            d_hits += g_rd + g_wr
-            icycles += g_if * hit_c
-            for vblock in gap_dirty[index]:
-                d_dirty[vblock & d_mask] = 1
-            if index == view.n_events:
-                break
-            flags = ev_flags[index]
-            if not flags & FLAG_L1_MISS:
-                raise PlaneReplayError(
-                    "virtual-L1 plane event without an L1 miss flag"
-                )
-            vblock = ev_bip[index]
-            cache = l1i if flags & FLAG_IFETCH else l1d
-            if cache.slot_of(vblock) != -1:
-                raise PlaneReplayError(
-                    "live L1 hit where the plane recorded a miss"
-                )
-            if icycles:
-                lt.l1i += clock.tick_cycles(icycles)
-                icycles = 0
-            gvpn = ev_gvpn[index]
-            if flags & FLAG_TRANSLATE:
-                tlb_misses += 1
-                frame = self._translate(gvpn)
-                if self._preempted:
-                    self._preempted = False
-                    if not flags & FLAG_PREEMPT:
-                        raise PlaneReplayError(
-                            "live preemption where the plane recorded none"
-                        )
-                    if index != view.n_events - 1:
-                        raise PlaneReplayError(
-                            "preempt event is not the plane chunk's last"
-                        )
-                    preempted = True
-                    break
-                if flags & FLAG_PREEMPT:
-                    raise PlaneReplayError(
-                        "no live preemption where the plane recorded one"
-                    )
-            else:
-                if flags & FLAG_PREEMPT:
-                    raise PlaneReplayError(
-                        "preempt event without a translate flag"
-                    )
-                frame = ev_frame[index]
-                tlb_hits += 1
-            if flags & FLAG_IFETCH:
-                kind = IFETCH
-                ifetches += 1
-            elif flags & FLAG_FIRST_WRITE:
-                kind = WRITE
-                writes += 1
-            else:
-                kind = READ
-                reads += 1
-            self._l1_miss(
-                cache, vblock, (frame << page_bits) | ev_offset[index], kind
-            )
-        if icycles:
-            lt.l1i += clock.tick_cycles(icycles)
-        self.tlb.hits += tlb_hits
-        self.tlb.misses += tlb_misses
-        stats.ifetches += ifetches
-        stats.reads += reads
-        stats.writes += writes
-        stats.l1i_hits += i_hits
-        stats.l1d_hits += d_hits
-        if not preempted and view.consumed != view.n_refs:
-            raise PlaneReplayError(
-                f"plane chunk consumed {view.consumed} of {view.n_refs} "
-                "references but recorded no preemption"
-            )
-        return view.consumed
 
     # ------------------------------------------------------------------
     # Below-L1 plumbing in virtual-block space

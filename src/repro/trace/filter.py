@@ -2,128 +2,97 @@
 
 The paper's sweeps hold the split 16 KB L1s and the TLB fixed while
 varying CPU/DRAM speed ratios, so every cell of an issue-rate sweep
-re-simulates the identical L1 front-end over the full interleaved
-reference stream.  This module implements Puzak-style trace stripping
-for that case: run the front-end once per *structural* machine geometry,
-persist the resulting **miss plane** -- the sparse sequence of reference
-runs that reach the TLB-miss or L1-miss paths, plus aggregate hit
-counters for everything in between -- and let every other cell sharing
-that geometry replay only the plane's events
-(:meth:`~repro.systems.base.MemorySystem._run_chunk_filtered`).
+re-simulates the identical front-end over the full interleaved
+reference stream.  This module records, once per *structural* machine
+geometry, that front-end's **miss plane** -- the stream of DRAM
+interactions the levels above DRAM let through, plus the run's timing
+snapshot -- and re-prices every other cell sharing the geometry from it
+by arithmetic alone (:func:`replay_decoupled`, :func:`replay_group`).
+As in one-pass multi-level filtering, the plane keeps only the stream
+its consumer reads: the replay never looks above the DRAM channel.
 
-Soundness: why a recorded plane replays byte-identically
---------------------------------------------------------
+Recording is a side output of each machine's one production chunk
+loop.  ``simulate(record_plane=...)`` attaches a :class:`PlaneRecorder`
+whose taps in ``_dram_sync``, ``_page_fault`` and ``_below_l1_fetch``
+fill its two tapes; the chunk loops do not know a recording is running,
+so a recording run is the plain run plus list appends.
 
-A naive L1-only filter is *unsound* here because the back-end feeds
-state into the front-end: L2 evictions and RAMpage page faults
-invalidate L1 blocks through inclusion (``_flush_l1_range``), so which
-references miss in L1 depends on the whole machine, not the L1 alone.
-The plane therefore is not a pure front-end filter -- it is a recording
-of a **full live simulation** keyed by every parameter that can affect
-the event sequence.  Two cells share a plane only when they differ in
-*timing-only* parameters (:func:`structural_params` normalises exactly
-``issue_rate_hz`` and the Rambus ``dram`` timing): time is read by the
-simulation solely to charge stalls (``RambusChannel.synchronous`` and
-friends mutate nothing but the clock and level-time counters), so for
-non-preempting machines the sequence of TLB misses, L1 misses, handler
-references, page faults, frame allocations and RNG draws is invariant
-across the cells of a plane group.  Replay then reproduces the exact
-state trajectory:
+Soundness: why the tapes alone re-price a sibling exactly
+---------------------------------------------------------
 
-* **TLB** -- inserts, flushes and replacement-RNG draws happen only
-  inside ``_translate``/``_page_fault``, which replay runs live at each
-  recorded translate event; probes have no side effects.
-* **L1** -- every fill, eviction and inclusion flush happens at a
-  recorded event (or inside live handler/context-switch execution
-  between events), so the tag arrays evolve identically; dirty bits set
-  by *skipped* write-hit runs are recorded as explicit 0->1 transitions
-  per gap and applied before the next event, since evictions and
-  flushes read them.
-* **Frames** are stored per event because the hot loop's (vpn, frame)
-  micro-cache can bridge a TLB eviction -- a live re-probe at replay
-  time could spuriously miss.  Frame values are structural (first-touch
-  allocation order / the SRAM clock algorithm), so they replay exactly.
-* **Cycles** -- ``SimClock.tick_cycles`` is linear, so bulk-crediting a
-  gap's batched instruction-hit cycles is the same arithmetic as the
-  unfiltered loop's batching, and the batch is flushed before every
-  event, the only point where anything reads the clock.
+Two cells share a plane only when they differ in *timing-only*
+parameters: :func:`structural_params` normalises exactly
+``issue_rate_hz`` and the Rambus ``dram`` timing, and :func:`plane_key`
+hashes everything else.
 
-Preempting machines (the decision-op tape)
-------------------------------------------
+* **The event sequence is timing-invariant.**  The simulation reads
+  time only to charge stalls: ``RambusChannel.synchronous``,
+  ``begin_background`` and ``SimClock.advance_to`` change nothing but
+  the clock, the channel's ``free_at`` and the level-time counters, and
+  ``_prune_pending`` drops only background entries whose stall would
+  be zero.  Everything that steers control flow -- TLB misses, L1 and
+  L2 outcomes, inclusion flushes, page faults, victim choice,
+  preemption points, chunk rotation, RNG draws -- is the same in every
+  cell of a plane group, and so is every counter in
+  ``_STRUCTURAL_STATS``, which the plane records verbatim.
+* **Non-DRAM time is a cycle count.**  Every other level-time charge
+  goes through ``SimClock.tick_cycles``, which is linear, and
+  ``cycle_time_ps`` guarantees an integral cycle, so a cell's
+  ``l1i``/``l1d``/``l2`` times are the recording's cycle counts
+  rescaled to the cell's clock.  DRAM time accumulates separately in
+  the clock's ``extra`` picoseconds, so the CPU cycle count at every
+  DRAM interaction is structural too.
+* **DRAM time is a function of the tapes.**  A non-preempting machine
+  only makes synchronous transfers, and ``_dram_sync`` advances the
+  clock past each one, so the channel is idle at the next request at
+  *any* issue rate: DRAM time is the sum of idle-channel prices over
+  the **timing tape** (``tape.npy``, bytes per synchronous transfer).
+  Switch-on-miss RAMpage (and its virtual-L1 variant) also queues page
+  transfers in the background, so its stall and overlap depend on
+  timing.  It records a **decision-op tape** (``dops.npy``): one row
+  per DRAM interaction -- a blocking transfer (``SYNC``), a background
+  writeback or fill (``BG_WB``/``BG_FILL``), or a potential stall on
+  an in-flight fill (``WAIT``) -- stamped with the absolute CPU cycle
+  count.  ``WAIT`` rows are emitted at every *structural* first touch
+  of a filled frame (a shadow pending map that is never time-pruned),
+  because whether the touch stalls depends on the sibling's timing.
+  The integer max-plus recursion :func:`_replay_timeline` reproduces
+  the live channel arithmetic op by op;
+  :class:`~repro.trace.replay_kernel.ReplayKernel` is its vectorized
+  production form.
 
-Switch-on-miss RAMpage (and its virtual-L1 variant) preempt mid-chunk
-on hard faults and queue page transfers in the background, so their
-DRAM stall/overlap totals are *not* a pure function of byte counts.
-Their event sequence is still timing-invariant, though: preemption
-fires on every hard fault regardless of timing, and the only code that
-reads the clock either charges a stall (``synchronous``,
-``advance_to``) or prunes already-completed background entries
-(``_prune_pending`` -- behaviour-neutral, because a pruned entry's
-stall would have been zero).  Everything that *steers* control flow --
-TLB misses, faults, victim choice, preemption points, chunk rotation,
-RNG draws -- is structural, and so are the **CPU cycle counts** at
-every DRAM interaction (all non-DRAM time is ``tick_cycles``; DRAM
-time accumulates separately in the clock's ``extra`` picoseconds).
-
-Recording therefore captures a **decision-op tape** (``dops.npy``): one
-row per DRAM interaction -- blocking transfer (``SYNC``), background
-writeback/fill (``BG_WB``/``BG_FILL``), or a potential wait on an
-in-flight fill (``WAIT``) -- stamped with the absolute CPU cycle count
-at which it happened.  ``WAIT`` rows are emitted at every *structural*
-first touch of a filled frame (a shadow pending map that is never
-time-pruned), because whether the touch actually stalls depends on the
-sibling's timing.  :func:`replay_decoupled` then re-derives
-``dram_stall_ps``/``dram_overlap_ps``/``level_times.dram`` for any
-sibling cell with an exact integer max-plus recursion over the tape
-(see ``_replay_timeline``); chunks additionally record how many
-references they ``consumed`` before preempting so event-level replay
-can hand the tail back to the workload.
-
-Timing-decoupled replay (phase 2's fast path)
----------------------------------------------
-
-For non-preempting machines the clock never lags the Rambus channel:
-every DRAM transfer is synchronous, and ``_dram_sync`` advances the
-clock past the transfer immediately, so the channel's ``free_at``
-always equals ``now`` at the next request and the queueing wait is zero
-at *any* issue rate.  The recorded run's DRAM time is therefore a pure
-function of the per-access byte counts -- the **timing tape** -- and
-every other level-time counter is an exact multiple of the cycle time
-(``SimClock.tick_cycles`` is linear and ``cycle_time_ps`` guarantees an
-integral cycle).  :func:`replay_decoupled` reproduces a sibling cell's
-byte-identical run record by arithmetic alone: rescale the recorded
-per-level cycle counts to the cell's clock and re-price the tape under
-the cell's Rambus timing, without touching the workload.  Preempting
-machines replace the tape pricing with the decision-op recursion
-above; either way the event-level replay path
-(``_run_chunk_filtered``) remains the state-exact validation harness
-for the arithmetic, and :func:`replay_group` prices a whole plane
-group's sibling cells in one vectorized pass.
+**Checks.**  :meth:`PlaneRecorder.capture` proves a recording before it
+becomes a plane: a tape-only recording must show no channel queueing
+and no overlap, a run that switched on a miss must have captured a
+decision-op tape, and a decision-op tape must replay under the
+recording's own timing to exactly the DRAM time, stall and overlap the
+run measured.  The timing payload carries a digest of the recording's
+structural parameters, and replay raises :class:`PlaneReplayError` for
+a cell whose digest differs, so a plane is never priced for a machine
+it was not recorded on.  The full simulation stays the oracle: the
+tests compare decoupled replay against it across issue rates and
+Rambus timings.
 
 Artifact layout (one directory per key under ``<cache_dir>/planes/``)::
 
     planes/<key>/
-    ├── chunks.npy      # int64 (C, 4): pid, n_refs, n_events, consumed
-    ├── events.npy      # int64 (E, 6): gvpn, frame, length, offset, bip, writes
-    ├── flags.npy       # uint8 (E,): translate/ifetch/l1-miss/first-write/preempt
-    ├── gaps.npy        # int64 (E+C, 4): ifetches, reads, writes, dirty count
-    ├── dirty.npy       # int64 (D,): 0->1 dirty-bit transitions, gap-ordered
     ├── tape.npy        # int64 (A,): bytes moved per synchronous DRAM access
-    ├── dops.npy        # int64 (N, 3): kind, arg, cycles decision ops (may be empty)
-    └── manifest.json   # schema, versions, checksums, timing payload
+    ├── dops.npy        # int64 (N, 3): kind, arg, cycles (empty unless preempting)
+    └── manifest.json   # schema, versions, counts, checksums, timing payload
 
-``rampage-plane/1`` artifacts (3-column chunk table, no ``dops.npy``)
-remain readable: v1 planes could only record non-preempting machines,
-for which an empty decision tape and ``consumed == n_refs`` are exactly
-equivalent, so the loader upgrades them in memory.
+Artifacts of the older ``rampage-plane/1`` and ``/2`` layouts are never
+found, because :func:`plane_key` hashes the schema; :func:`read_manifest`
+reports them as :class:`~repro.core.errors.StaleArtifactError` so
+``cache verify`` can flag them and ``cache purge --corrupt-only`` can
+drop them.
 
 Commits, validation and quarantine follow the trace plane's envelope
 discipline exactly (:mod:`repro.trace.materialize`, ``docs/cache.md``):
 atomic temp-dir-then-rename commits with benign concurrent races (plane
 bytes are deterministic, so the loser discards its copy), strict
 checksum/schema/shape validation on attach, and
-quarantine-instead-of-crash -- a corrupt or divergent plane is a cache
-*miss* that falls back to the unfiltered path.
+quarantine-instead-of-crash -- a corrupt or mismatched plane is a cache
+*miss* that falls back to a recording run.
 """
 
 from __future__ import annotations
@@ -138,7 +107,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.clock import cycle_time_ps
-from repro.core.errors import CacheIntegrityError, SimulationError
+from repro.core.errors import (
+    CacheIntegrityError,
+    SimulationError,
+    StaleArtifactError,
+)
 from repro.core.params import MachineParams, RambusParams
 from repro.core.stats import SimStats
 from repro.mem.dram import (
@@ -156,10 +129,10 @@ from repro.trace.replay_kernel import (
 )
 
 #: Artifact manifest schema tag, bumped when the plane layout changes.
-PLANE_SCHEMA = "rampage-plane/2"
+PLANE_SCHEMA = "rampage-plane/3"
 
-#: The previous schema, still readable (see the module docstring).
-PLANE_SCHEMA_V1 = "rampage-plane/1"
+#: Earlier layouts: unreachable by key, reported stale rather than corrupt.
+STALE_PLANE_SCHEMAS = ("rampage-plane/1", "rampage-plane/2")
 
 #: Subdirectory of the cache directory holding miss-plane artifacts.
 PLANE_DIRNAME = "planes"
@@ -168,13 +141,6 @@ PLANE_DIRNAME = "planes"
 QUARANTINE_SUFFIX = ".corrupt"
 
 MANIFEST_NAME = "manifest.json"
-
-#: Event flag bits (``flags.npy``).
-FLAG_TRANSLATE = 1  # the run's first reference missed the TLB
-FLAG_IFETCH = 2  # instruction-side run (else data-side)
-FLAG_L1_MISS = 4  # the run's first reference missed its L1
-FLAG_FIRST_WRITE = 8  # data-side run whose first reference is a write
-FLAG_PREEMPT = 16  # the translate faulted and preempted (chunk's last event)
 
 # Decision-op kinds (``dops.npy`` column 0) live in
 # :mod:`repro.trace.replay_kernel` (imported above and re-exported here
@@ -187,23 +153,8 @@ _CANONICAL_RATE_HZ = 10**9
 
 _ARRAY_SPECS = (
     # name, dtype, columns (0 = one-dimensional)
-    ("chunks", np.int64, 4),
-    ("events", np.int64, 6),
-    ("flags", np.uint8, 0),
-    ("gaps", np.int64, 4),
-    ("dirty", np.int64, 0),
     ("tape", np.int64, 0),
     ("dops", np.int64, 3),
-)
-
-#: v1 array layout, still accepted by :func:`load_plane`.
-_ARRAY_SPECS_V1 = (
-    ("chunks", np.int64, 3),
-    ("events", np.int64, 6),
-    ("flags", np.uint8, 0),
-    ("gaps", np.int64, 4),
-    ("dirty", np.int64, 0),
-    ("tape", np.int64, 0),
 )
 
 #: SimStats counters that are structural (identical across a plane
@@ -239,12 +190,13 @@ _STRUCTURAL_STATS = (
 
 
 class PlaneReplayError(CacheIntegrityError):
-    """A miss plane disagreed with the live simulation during replay.
+    """A miss plane cannot re-price the requested cell.
 
-    Raised when a plane's chunk table does not line up with the driven
-    workload or a recorded L1 outcome diverges from the live tag state.
-    Callers treat it exactly like artifact corruption: quarantine the
-    plane and recompute the cell unfiltered.
+    Raised when the plane's timing snapshot breaks a decoupling
+    invariant, its decision-op tape is malformed, or it was recorded
+    for a structurally different machine.  Callers treat it exactly
+    like artifact corruption: quarantine the plane and recompute the
+    cell with a recording run.
     """
 
 
@@ -256,11 +208,11 @@ class PlaneReplayError(CacheIntegrityError):
 def plane_eligible(params: MachineParams) -> bool:
     """True when cells of ``params``'s geometry may share a miss plane.
 
-    Requires direct-mapped L1s (the only shape the run-collapsed hot
-    loop -- and therefore the recorder -- takes).  Preempting machines
-    (``switch_on_miss``) and virtual-L1 RAMpage are eligible since
-    ``rampage-plane/2``: their chunk rows carry a ``consumed`` count and
-    their DRAM interactions are captured on the decision-op tape.
+    Requires direct-mapped L1s, the shape whose production loops the
+    replay-equivalence suites cover; associative-L1 machines run full
+    simulations.  Preempting machines (``switch_on_miss``) and
+    virtual-L1 RAMpage are eligible: their DRAM interactions are
+    captured on the decision-op tape.
     """
     return (
         params.kind in ("conventional", "rampage")
@@ -302,11 +254,21 @@ def structural_params(params: MachineParams) -> MachineParams:
     Only ``issue_rate_hz`` and the Rambus ``dram`` timing are
     normalised: they are read exclusively by the clock and the channel's
     stall arithmetic, never by anything that steers the event sequence
-    of a non-preempting machine.  Everything else -- geometries, seeds,
+    (see the module docstring).  Everything else -- geometries, seeds,
     handler costs, scheduling policy, cycle counts -- stays in the key;
     being conservative here costs only plane sharing, never correctness.
     """
     return replace(params, issue_rate_hz=_CANONICAL_RATE_HZ, dram=RambusParams())
+
+
+def structure_digest(params: MachineParams) -> str:
+    """SHA-256 of ``params``'s structural identity.
+
+    Stored in every plane's timing payload; replay refuses a cell whose
+    digest differs from the recording's.
+    """
+    blob = repr(structural_params(params)).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
 
 
 def plane_key(
@@ -337,103 +299,37 @@ def plane_key(
 # ----------------------------------------------------------------------
 
 
-class PlaneChunk:
-    """One chunk's plane data, unpacked into plain Python lists.
-
-    The replay loop indexes these per event; list indexing beats numpy
-    scalar indexing by a wide margin, and the unpack happens once per
-    chunk per process, shared by every cell replaying the plane.
-    """
-
-    __slots__ = (
-        "pid",
-        "n_refs",
-        "n_events",
-        "consumed",
-        "ev_gvpn",
-        "ev_frame",
-        "ev_length",
-        "ev_offset",
-        "ev_bip",
-        "ev_writes",
-        "ev_flags",
-        "gap_ifetch",
-        "gap_reads",
-        "gap_writes",
-        "gap_dirty",
-    )
-
-    def __init__(
-        self, pid, n_refs, n_events, consumed, events, flags, gaps, gap_dirty
-    ):
-        self.pid = pid
-        self.n_refs = n_refs
-        self.n_events = n_events
-        self.consumed = consumed
-        self.ev_gvpn = events[:, 0].tolist()
-        self.ev_frame = events[:, 1].tolist()
-        self.ev_length = events[:, 2].tolist()
-        self.ev_offset = events[:, 3].tolist()
-        self.ev_bip = events[:, 4].tolist()
-        self.ev_writes = events[:, 5].tolist()
-        self.ev_flags = flags.tolist()
-        self.gap_ifetch = gaps[:, 0].tolist()
-        self.gap_reads = gaps[:, 1].tolist()
-        self.gap_writes = gaps[:, 2].tolist()
-        self.gap_dirty = gap_dirty
-
-
 class MissPlane:
-    """One recorded miss plane: compact arrays plus replay cursors.
+    """One recorded miss plane: the two tapes plus the timing snapshot.
 
-    ``chunks`` rows are ``(pid, n_refs, n_events, consumed)`` in
-    workload chunk order (``consumed < n_refs`` when the chunk ended in
-    a preemption); ``events``/``flags`` rows are per-event run
-    descriptors; ``gaps`` has one row per event *plus one final row per
-    chunk* (the gap after a chunk's last event); ``dirty`` is the flat
-    concatenation of every gap's dirty-bit transition list; ``tape``
-    holds the bytes moved by each synchronous DRAM access in order;
-    ``dops`` is the decision-op tape of a preempting recording (empty
-    for non-preempting machines).  ``cycle_ps`` and ``stats`` snapshot
-    the recording run's clock and final counters for
-    :func:`replay_decoupled`.
+    ``tape`` holds the bytes moved by each synchronous DRAM access in
+    order; ``dops`` is the decision-op tape of a preempting recording
+    (empty for non-preempting machines).  ``cycle_ps`` and ``stats``
+    snapshot the recording run's clock and final counters, and
+    ``structure`` is the recording machine's :func:`structure_digest`,
+    all read by :func:`replay_decoupled`.
     """
 
     def __init__(
         self,
         key: str,
-        chunks: np.ndarray,
-        events: np.ndarray,
-        flags: np.ndarray,
-        gaps: np.ndarray,
-        dirty: np.ndarray,
         tape: np.ndarray,
+        dops: np.ndarray,
         cycle_ps: int,
         stats: dict,
+        structure: str,
         path: Path | None = None,
-        dops: np.ndarray | None = None,
     ) -> None:
         self.key = key
-        self.chunks = chunks
-        self.events = events
-        self.flags = flags
-        self.gaps = gaps
-        self.dirty = dirty
         self.tape = tape
-        self.dops = (
-            dops if dops is not None else np.zeros((0, 3), dtype=np.int64)
-        )
+        self.dops = dops
         self.cycle_ps = cycle_ps
         self.stats = stats
+        self.structure = structure
         self.path = path
-        self.num_chunks = len(chunks)
-        self.num_events = len(events)
-        self._ev_offsets = None
-        self._dirty_offsets = None
         self._tape_counts = None
         self._dop_rows = None
         self._kernel: ReplayKernel | None = None
-        self._views: dict[int, PlaneChunk] = {}
 
     def tape_counts(self) -> tuple[list[int], np.ndarray]:
         """Distinct tape byte counts and their frequencies, cached.
@@ -486,73 +382,18 @@ class MissPlane:
                 ) from exc
         return self._kernel
 
-    def _offsets(self):
-        if self._ev_offsets is None:
-            counts = self.chunks[:, 2] if self.num_chunks else np.zeros(0, np.int64)
-            self._ev_offsets = np.concatenate(
-                ([0], np.cumsum(counts, dtype=np.int64))
-            )
-            self._dirty_offsets = np.concatenate(
-                ([0], np.cumsum(self.gaps[:, 3], dtype=np.int64))
-            )
-        return self._ev_offsets, self._dirty_offsets
-
-    def chunk_view(self, ordinal: int) -> PlaneChunk:
-        """The unpacked plane data for workload chunk ``ordinal``."""
-        view = self._views.get(ordinal)
-        if view is not None:
-            return view
-        if not 0 <= ordinal < self.num_chunks:
-            raise PlaneReplayError(
-                f"plane {self.key} has {self.num_chunks} chunks; the "
-                f"workload drove chunk {ordinal}"
-            )
-        ev_offsets, dirty_offsets = self._offsets()
-        ev_lo = int(ev_offsets[ordinal])
-        ev_hi = int(ev_offsets[ordinal + 1])
-        gap_lo = ev_lo + ordinal
-        gap_hi = ev_hi + ordinal + 1
-        gaps = np.asarray(self.gaps[gap_lo:gap_hi])
-        gap_dirty = []
-        pos = int(dirty_offsets[gap_lo])
-        for count in gaps[:, 3].tolist():
-            gap_dirty.append(self.dirty[pos : pos + count].tolist())
-            pos += count
-        pid, n_refs, n_events, consumed = (
-            int(v) for v in self.chunks[ordinal]
-        )
-        view = PlaneChunk(
-            pid,
-            n_refs,
-            n_events,
-            consumed,
-            np.asarray(self.events[ev_lo:ev_hi]),
-            np.asarray(self.flags[ev_lo:ev_hi]),
-            gaps,
-            gap_dirty,
-        )
-        self._views[ordinal] = view
-        return view
-
 
 class PlaneRecorder:
     """Accumulates one miss plane during a live recording simulation.
 
-    The recording hot loop
-    (:meth:`~repro.systems.base.MemorySystem._run_chunk_recording`)
-    keeps its gap accumulators in locals and calls :meth:`event` only
-    when a run reaches a TLB- or L1-miss path, so recording overhead is
-    proportional to events, not references.
+    The machine's DRAM taps append to :attr:`tape` (every synchronous
+    transfer) and, for switch-on-miss machines, to :attr:`dops` through
+    the decision-op methods below; recording cost is proportional to
+    DRAM interactions, not references.
     """
 
     def __init__(self, key: str) -> None:
         self.key = key
-        self._chunks: list[tuple[int, int, int, int]] = []
-        self._events: list[tuple[int, int, int, int, int, int]] = []
-        self._flags: list[int] = []
-        self._gaps: list[tuple[int, int, int, int]] = []
-        self._dirty: list[int] = []
-        self._chunk_events = 0
         #: Bytes per synchronous DRAM access, appended by ``_dram_sync``.
         self.tape: list[int] = []
         #: Decision ops of a preempting recording (``(kind, arg, cycles)``
@@ -561,9 +402,7 @@ class PlaneRecorder:
         self._fills = 0
         self._cycle_ps: int | None = None
         self._stats: dict | None = None
-
-    def begin_chunk(self) -> None:
-        self._chunk_events = 0
+        self._structure: str | None = None
 
     # -- decision-op taps (preempting machines only) -------------------
 
@@ -597,65 +436,26 @@ class PlaneRecorder:
         """
         self.dops.append((DOP_WAIT, ordinal, cycles))
 
-    def event(
-        self,
-        gvpn: int,
-        frame: int,
-        length: int,
-        offset: int,
-        bip: int,
-        writes: int,
-        flags: int,
-        gap_ifetch: int,
-        gap_reads: int,
-        gap_writes: int,
-        gap_dirty: list[int],
-    ) -> None:
-        """Close the preceding gap and record one event run."""
-        self._gaps.append((gap_ifetch, gap_reads, gap_writes, len(gap_dirty)))
-        self._dirty.extend(gap_dirty)
-        self._events.append((gvpn, frame, length, offset, bip, writes))
-        self._flags.append(flags)
-        self._chunk_events += 1
-
-    def end_chunk(
-        self,
-        pid: int,
-        n_refs: int,
-        consumed: int,
-        gap_ifetch: int,
-        gap_reads: int,
-        gap_writes: int,
-        gap_dirty: list[int],
-    ) -> None:
-        """Close the chunk's final gap and commit its chunk-table row.
-
-        ``consumed`` is how many of the chunk's ``n_refs`` references the
-        run actually retired -- short of ``n_refs`` exactly when the
-        chunk ended in a preemption (its last event carries
-        :data:`FLAG_PREEMPT` and the driver re-presents the tail as the
-        next chunk).
-        """
-        self._gaps.append((gap_ifetch, gap_reads, gap_writes, len(gap_dirty)))
-        self._dirty.extend(gap_dirty)
-        self._chunks.append((pid, n_refs, self._chunk_events, consumed))
-        self._chunk_events = 0
-
-    def capture(self, cycle_ps: int, stats: dict, dram=None) -> None:
-        """Snapshot the recording run's clock and final counters.
+    def capture(self, cycle_ps: int, stats: dict, params: MachineParams) -> None:
+        """Snapshot the recording run's clock, final counters and structure.
 
         Called by :func:`~repro.systems.simulator.simulate` once the
-        recording run finalizes; validates the invariants the decoupled
-        replay arithmetic relies on.  A non-preempting recording (empty
-        decision-op tape) must show no channel queueing and no
-        background transfers; a preempting recording instead proves its
-        tape by replaying it under the recording run's own ``dram`` and
+        recording run finalizes with the run's ``params``; validates the
+        invariants the decoupled replay arithmetic relies on.  A
+        non-preempting recording (empty decision-op tape) must show no
+        channel queueing, no background transfers and no switch on a
+        miss; a preempting recording instead proves its tape by
+        replaying it under the recording run's own Rambus timing and
         ``cycle_ps`` and requiring it to reproduce the run's measured
         DRAM time, stall and overlap exactly.
         """
         level_times = stats.get("level_times", {})
         problems = []
         if not self.dops:
+            if stats.get("switches_on_miss", 0) != 0:
+                problems.append(
+                    "switched on a miss without a decision-op tape"
+                )
             if stats.get("dram_stall_ps", 0) != 0:
                 problems.append("nonzero dram_stall_ps")
             if stats.get("dram_overlap_ps", 0) != 0:
@@ -671,40 +471,35 @@ class PlaneRecorder:
             if level_times.get(level, 0) % cycle_ps:
                 problems.append(f"level_times.{level} not a cycle multiple")
         if self.dops and not problems:
-            if dram is None:
-                problems.append(
-                    "preempting recording captured without its DRAM params"
-                )
+            syncs = [row for row in self.dops if row[0] == DOP_SYNC]
+            if len(syncs) != len(self.tape) or any(
+                row[1] != nbytes for row, nbytes in zip(syncs, self.tape)
+            ):
+                problems.append("decision-op tape disagrees with DRAM tape")
             else:
-                syncs = [row for row in self.dops if row[0] == DOP_SYNC]
-                if len(syncs) != len(self.tape) or any(
-                    row[1] != nbytes for row, nbytes in zip(syncs, self.tape)
-                ):
-                    problems.append("decision-op tape disagrees with DRAM tape")
-                else:
-                    columns = (
-                        [row[0] for row in self.dops],
-                        [row[1] for row in self.dops],
-                        [row[2] for row in self.dops],
+                columns = (
+                    [row[0] for row in self.dops],
+                    [row[1] for row in self.dops],
+                    [row[2] for row in self.dops],
+                )
+                dram_ps, stall, overlap = _replay_timeline(
+                    params.dram, int(cycle_ps), columns
+                )
+                if dram_ps != level_times.get("dram", 0):
+                    problems.append(
+                        f"tape replays to dram={dram_ps}, run measured "
+                        f"{level_times.get('dram', 0)}"
                     )
-                    dram_ps, stall, overlap = _replay_timeline(
-                        dram, int(cycle_ps), columns
+                if stall != stats.get("dram_stall_ps", 0):
+                    problems.append(
+                        f"tape replays to stall={stall}, run measured "
+                        f"{stats.get('dram_stall_ps', 0)}"
                     )
-                    if dram_ps != level_times.get("dram", 0):
-                        problems.append(
-                            f"tape replays to dram={dram_ps}, run measured "
-                            f"{level_times.get('dram', 0)}"
-                        )
-                    if stall != stats.get("dram_stall_ps", 0):
-                        problems.append(
-                            f"tape replays to stall={stall}, run measured "
-                            f"{stats.get('dram_stall_ps', 0)}"
-                        )
-                    if overlap != stats.get("dram_overlap_ps", 0):
-                        problems.append(
-                            f"tape replays to overlap={overlap}, run measured "
-                            f"{stats.get('dram_overlap_ps', 0)}"
-                        )
+                if overlap != stats.get("dram_overlap_ps", 0):
+                    problems.append(
+                        f"tape replays to overlap={overlap}, run measured "
+                        f"{stats.get('dram_overlap_ps', 0)}"
+                    )
         if problems:
             raise SimulationError(
                 "recording run broke a timing-decoupling invariant: "
@@ -712,6 +507,7 @@ class PlaneRecorder:
             )
         self._cycle_ps = int(cycle_ps)
         self._stats = stats
+        self._structure = structure_digest(params)
 
     def finalize(self) -> MissPlane:
         if self._cycle_ps is None or self._stats is None:
@@ -721,15 +517,11 @@ class PlaneRecorder:
             )
         return MissPlane(
             key=self.key,
-            chunks=np.array(self._chunks, dtype=np.int64).reshape(-1, 4),
-            events=np.array(self._events, dtype=np.int64).reshape(-1, 6),
-            flags=np.array(self._flags, dtype=np.uint8),
-            gaps=np.array(self._gaps, dtype=np.int64).reshape(-1, 4),
-            dirty=np.array(self._dirty, dtype=np.int64),
             tape=np.array(self.tape, dtype=np.int64),
+            dops=np.array(self.dops, dtype=np.int64).reshape(-1, 3),
             cycle_ps=self._cycle_ps,
             stats=self._stats,
-            dops=np.array(self.dops, dtype=np.int64).reshape(-1, 3),
+            structure=self._structure,
         )
 
 
@@ -772,16 +564,15 @@ def write_plane(directory: str | Path, plane: MissPlane) -> Path:
             filename = f"{name}.npy"
             np.save(tmp / filename, getattr(plane, name))
             checksums[filename] = _file_checksum(tmp / filename)
-        timing = {"cycle_ps": int(plane.cycle_ps), "stats": plane.stats}
+        timing = {
+            "cycle_ps": int(plane.cycle_ps),
+            "stats": plane.stats,
+            "structure": plane.structure,
+        }
         manifest = {
             "schema": PLANE_SCHEMA,
             "workload_version": WORKLOAD_VERSION,
             "key": plane.key,
-            "chunks": int(plane.num_chunks),
-            "events": int(plane.num_events),
-            "flags": int(len(plane.flags)),
-            "gaps": int(len(plane.gaps)),
-            "dirty": int(len(plane.dirty)),
             "tape": int(len(plane.tape)),
             "dops": int(len(plane.dops)),
             "timing": timing,
@@ -804,7 +595,12 @@ def write_plane(directory: str | Path, plane: MissPlane) -> Path:
 
 
 def read_manifest(directory: str | Path) -> dict:
-    """Validate and return a plane artifact's manifest layers."""
+    """Validate and return a plane artifact's manifest layers.
+
+    A manifest of an older plane layout raises
+    :class:`~repro.core.errors.StaleArtifactError`: no key can reach it
+    any more, so it is dead weight rather than damage.
+    """
     path = Path(directory) / MANIFEST_NAME
     try:
         manifest = json.loads(path.read_text("utf-8"))
@@ -812,10 +608,15 @@ def read_manifest(directory: str | Path) -> dict:
         raise CacheIntegrityError(f"unreadable plane manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CacheIntegrityError("plane manifest is not an object")
-    if manifest.get("schema") not in (PLANE_SCHEMA, PLANE_SCHEMA_V1):
+    schema = manifest.get("schema")
+    if schema in STALE_PLANE_SCHEMAS:
+        raise StaleArtifactError(
+            f"stale schema {schema!r}: planes are now {PLANE_SCHEMA!r}"
+        )
+    if schema != PLANE_SCHEMA:
         raise CacheIntegrityError(
-            f"schema mismatch: artifact has {manifest.get('schema')!r}, "
-            f"expected {PLANE_SCHEMA!r} (or the readable {PLANE_SCHEMA_V1!r})"
+            f"schema mismatch: artifact has {schema!r}, "
+            f"expected {PLANE_SCHEMA!r}"
         )
     if manifest.get("workload_version") != WORKLOAD_VERSION:
         raise CacheIntegrityError(
@@ -831,10 +632,10 @@ def load_plane(directory: str | Path, key: str | None = None) -> MissPlane:
     """Attach to an on-disk plane; strict validation, mmap arrays.
 
     Checks every envelope layer -- manifest, schema and version tags,
-    per-array SHA-256s, dtypes, shapes, and the cross-array count
-    invariants (event rows vs the chunk table, dirty rows vs the gap
-    table) -- raising :class:`CacheIntegrityError` so callers can
-    quarantine and re-record.
+    per-array SHA-256s, dtypes, shapes, the decision-op tape's
+    consistency with the DRAM tape, and the timing payload -- raising
+    :class:`CacheIntegrityError` so callers can quarantine and
+    re-record.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
@@ -844,10 +645,8 @@ def load_plane(directory: str | Path, key: str | None = None) -> MissPlane:
             f"expected {key!r}"
         )
     checksums = manifest["checksums"]
-    is_v1 = manifest.get("schema") == PLANE_SCHEMA_V1
-    specs = _ARRAY_SPECS_V1 if is_v1 else _ARRAY_SPECS
     arrays: dict[str, np.ndarray] = {}
-    for name, dtype, columns in specs:
+    for name, dtype, columns in _ARRAY_SPECS:
         filename = f"{name}.npy"
         path = directory / filename
         if not path.exists():
@@ -869,67 +668,28 @@ def load_plane(directory: str | Path, key: str | None = None) -> MissPlane:
             raise CacheIntegrityError(
                 f"{filename}: unexpected shape {array.shape}"
             )
-        arrays[name] = array
-    chunks, events, flags = arrays["chunks"], arrays["events"], arrays["flags"]
-    gaps, dirty = arrays["gaps"], arrays["dirty"]
-    for name, array in arrays.items():
         if len(array) != manifest.get(name):
             raise CacheIntegrityError(
-                f"{name}.npy has {len(array)} rows; manifest says "
+                f"{filename} has {len(array)} rows; manifest says "
                 f"{manifest.get(name)}"
             )
-    if is_v1:
-        # v1 chunks lack the consumed column: v1 recordings abort on
-        # preemption, so every chunk ran to completion.  Widen in place
-        # (a copy; v1 arrays stay mmapped but small) and carry no
-        # decision ops.
-        upgraded = np.empty((len(chunks), 4), dtype=np.int64)
-        upgraded[:, :3] = chunks
-        upgraded[:, 3] = chunks[:, 1]
-        chunks = upgraded
-        dops = np.zeros((0, 3), dtype=np.int64)
-    else:
-        dops = arrays["dops"]
-        if len(chunks) and (
-            np.any(chunks[:, 3] < 0) or np.any(chunks[:, 3] > chunks[:, 1])
-        ):
+        arrays[name] = array
+    tape, dops = arrays["tape"], arrays["dops"]
+    if len(dops):
+        kinds = dops[:, 0]
+        if kinds.min() < DOP_SYNC or kinds.max() > DOP_WAIT:
+            raise CacheIntegrityError("dops.npy has an unknown op kind")
+        sync_args = dops[kinds == DOP_SYNC, 1]
+        if len(sync_args) != len(tape) or not np.array_equal(sync_args, tape):
             raise CacheIntegrityError(
-                "chunks.npy has a consumed count outside [0, n_refs]"
+                "dops.npy synchronous transfers disagree with tape.npy"
             )
-        if len(dops):
-            kinds = dops[:, 0]
-            if kinds.min() < DOP_SYNC or kinds.max() > DOP_WAIT:
-                raise CacheIntegrityError("dops.npy has an unknown op kind")
-            sync_args = dops[kinds == DOP_SYNC, 1]
-            if len(sync_args) != len(arrays["tape"]) or not np.array_equal(
-                sync_args, arrays["tape"]
-            ):
-                raise CacheIntegrityError(
-                    "dops.npy synchronous transfers disagree with tape.npy"
-                )
-            fills_before = np.cumsum(kinds == DOP_BG_FILL)
-            waits = kinds == DOP_WAIT
-            if np.any(dops[waits, 1] < 0) or np.any(
-                dops[waits, 1] >= fills_before[waits]
-            ):
-                raise CacheIntegrityError(
-                    "dops.npy waits on a fill not yet queued"
-                )
-    total_events = int(chunks[:, 2].sum()) if len(chunks) else 0
-    if len(events) != total_events or len(flags) != total_events:
-        raise CacheIntegrityError(
-            f"event rows ({len(events)}) disagree with the chunk table "
-            f"({total_events})"
-        )
-    if len(gaps) != total_events + len(chunks):
-        raise CacheIntegrityError(
-            f"gap rows ({len(gaps)}) disagree with events + chunks "
-            f"({total_events + len(chunks)})"
-        )
-    if int(gaps[:, 3].sum() if len(gaps) else 0) != len(dirty):
-        raise CacheIntegrityError(
-            f"dirty rows ({len(dirty)}) disagree with the gap table"
-        )
+        fills_before = np.cumsum(kinds == DOP_BG_FILL)
+        waits = kinds == DOP_WAIT
+        if np.any(dops[waits, 1] < 0) or np.any(
+            dops[waits, 1] >= fills_before[waits]
+        ):
+            raise CacheIntegrityError("dops.npy waits on a fill not yet queued")
     timing = manifest.get("timing")
     if not isinstance(timing, dict):
         raise CacheIntegrityError("plane manifest has no timing payload")
@@ -937,32 +697,31 @@ def load_plane(directory: str | Path, key: str | None = None) -> MissPlane:
         raise CacheIntegrityError("timing payload checksum mismatch")
     cycle_ps = timing.get("cycle_ps")
     stats = timing.get("stats")
+    structure = timing.get("structure")
     if not isinstance(cycle_ps, int) or cycle_ps <= 0:
         raise CacheIntegrityError(f"invalid plane cycle_ps: {cycle_ps!r}")
     if not isinstance(stats, dict):
         raise CacheIntegrityError("plane timing payload has no stats")
+    if not isinstance(structure, str):
+        raise CacheIntegrityError("plane timing payload has no structure digest")
     bad = [k for k in _STRUCTURAL_STATS if not isinstance(stats.get(k), int)]
     if bad:
         raise CacheIntegrityError(
             f"plane stats missing or non-integer counters: {', '.join(bad)}"
         )
-    if len(arrays["tape"]) != stats["dram_accesses"]:
+    if len(tape) != stats["dram_accesses"]:
         raise CacheIntegrityError(
-            f"tape rows ({len(arrays['tape'])}) disagree with "
+            f"tape rows ({len(tape)}) disagree with "
             f"dram_accesses ({stats['dram_accesses']})"
         )
     return MissPlane(
         key=str(manifest.get("key")),
-        chunks=chunks,
-        events=events,
-        flags=flags,
-        gaps=gaps,
-        dirty=dirty,
-        tape=arrays["tape"],
+        tape=tape,
+        dops=dops,
         cycle_ps=cycle_ps,
         stats=stats,
+        structure=structure,
         path=directory,
-        dops=dops,
     )
 
 
@@ -999,7 +758,7 @@ class PlaneRegistry:
 
     Every hit skips a full artifact re-load -- manifest parse, per-array
     SHA-256, shape validation -- plus the plane's derived caches
-    (chunk views, tape counts, the replay kernel's window structure),
+    (tape counts, the replay kernel's window structure),
     which is what makes repeated group replays by fabric workers and
     :meth:`~repro.experiments.runner.Runner.prefetch` cheap.  Eviction
     is least-recently-used and budgeted by array bytes rather than
@@ -1141,7 +900,11 @@ def get_plane(
         )
         return None
     events.emit(
-        "plane_attached", key=key, path=str(path), events=plane.num_events
+        "plane_attached",
+        key=key,
+        path=str(path),
+        tape=len(plane.tape),
+        dops=len(plane.dops),
     )
     return _REGISTRY.remember(registry_key, plane)
 
@@ -1157,8 +920,8 @@ def commit_plane(
         "plane_recorded",
         key=plane.key,
         path=str(plane.path) if plane.path is not None else None,
-        chunks=plane.num_chunks,
-        events=plane.num_events,
+        tape=len(plane.tape),
+        dops=len(plane.dops),
     )
     return _REGISTRY.remember(_registry_key(plane.key, cache_dir), plane)
 
@@ -1166,7 +929,7 @@ def commit_plane(
 def discard_plane(
     plane: MissPlane, cache_dir: str | Path | None = None, events=None, reason: str = ""
 ) -> None:
-    """Quarantine a plane that diverged during replay.
+    """Quarantine a plane that failed to re-price a cell.
 
     Drops every registry entry holding the plane and moves its on-disk
     artifact aside, so the next cell re-records instead of re-tripping.
@@ -1316,6 +1079,19 @@ def _replay_timeline(
     return dram_ps, stall, overlap
 
 
+def _check_cell(params: MachineParams, plane: MissPlane) -> None:
+    """Refuse a cell the plane cannot price: ineligible or mismatched."""
+    if not plane_eligible(params):
+        raise PlaneReplayError(
+            f"machine kind={params.kind!r} is not plane-eligible"
+        )
+    if structure_digest(params) != plane.structure:
+        raise PlaneReplayError(
+            f"plane {plane.key} was recorded for a structurally different "
+            "machine"
+        )
+
+
 def _validate_snapshot(plane: MissPlane) -> tuple[dict, dict, int]:
     """Check a plane's timing snapshot against the decoupling invariants.
 
@@ -1417,12 +1193,10 @@ def replay_decoupled(params: MachineParams, plane: MissPlane):
     :class:`~repro.systems.base.SimulationResult` the full simulation
     would produce, provided ``params`` shares the plane's structural
     key.  Raises :class:`PlaneReplayError` when the snapshot breaks a
-    decoupling invariant, so the caller can quarantine and recompute.
+    decoupling invariant or the plane was recorded for a structurally
+    different machine, so the caller can quarantine and recompute.
     """
-    if not plane_eligible(params):
-        raise PlaneReplayError(
-            f"machine kind={params.kind!r} is not plane-eligible"
-        )
+    _check_cell(params, plane)
     recorded, level_times, rec_cycle = _validate_snapshot(plane)
     if len(plane.dops):
         cell_cycle = cycle_time_ps(params.issue_rate_hz)
@@ -1458,10 +1232,7 @@ def replay_group(params_list, plane: MissPlane) -> list:
     """
     params_list = list(params_list)
     for params in params_list:
-        if not plane_eligible(params):
-            raise PlaneReplayError(
-                f"machine kind={params.kind!r} is not plane-eligible"
-            )
+        _check_cell(params, plane)
     recorded, level_times, rec_cycle = _validate_snapshot(plane)
     results = []
     if len(plane.dops):

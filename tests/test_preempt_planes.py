@@ -1,15 +1,15 @@
-"""Preemption-aware miss planes (``rampage-plane/2``).
+"""Preemption-aware miss planes (the decision-op tape).
 
-The tentpole contract: switch-on-miss RAMpage and virtual-L1 machines
--- whose background page transfers and preemption points used to force
-every sibling cell through a full simulation -- record a *decision-op
-tape* alongside the transfer tape, and both phase-2 paths (the
-event-filtered replay and the pure-arithmetic decoupled replay)
-reproduce the unfiltered run **byte-for-byte** under any sibling issue
-rate and Rambus timing.  Whole groups re-price in one
-:func:`replay_group` call with identical bytes.  v2 artifacts
-round-trip through disk with the full integrity discipline, and v1
-artifacts stay readable.
+The contract: switch-on-miss RAMpage and virtual-L1 machines -- whose
+background page transfers and preemption points used to force every
+sibling cell through a full simulation -- record a *decision-op tape*
+alongside the transfer tape, and the pure-arithmetic decoupled replay
+reproduces the full simulation **byte-for-byte** under any sibling
+issue rate and Rambus timing.  Whole groups re-price in one
+:func:`replay_group` call with identical bytes, and a plane refuses a
+cell of a structurally different machine.  Artifacts round-trip
+through disk with the full integrity discipline; artifacts of older
+plane layouts are stale, never read.
 """
 
 import json
@@ -19,7 +19,11 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.errors import CacheIntegrityError
+from repro.core.errors import (
+    CacheIntegrityError,
+    SimulationError,
+    StaleArtifactError,
+)
 from repro.core.observe import EventLog
 from repro.core.params import RambusParams
 from repro.systems.factory import (
@@ -34,7 +38,7 @@ from repro.trace import materialize
 from repro.trace.filter import (
     MANIFEST_NAME,
     PLANE_SCHEMA,
-    PLANE_SCHEMA_V1,
+    STALE_PLANE_SCHEMAS,
     PlaneRecorder,
     PlaneReplayError,
     artifact_dir,
@@ -47,7 +51,8 @@ from repro.trace.filter import (
     select_replay_mode,
     write_plane,
 )
-from repro.trace.materialize import get_workload
+from repro.trace.materialize import WORKLOAD_VERSION, get_workload
+from repro.trace.replay_kernel import DOP_BG_FILL
 
 SCALE = 0.0002
 SLICE_REFS = 4_000
@@ -145,7 +150,7 @@ def test_select_replay_mode_policy():
     ids=[m[0] for m in preempting_machines()],
 )
 def test_three_way_byte_identity_across_rates_and_dram(label, build):
-    """Full simulation, event-filtered replay and decoupled arithmetic
+    """Full simulation, the plane-recording run and decoupled arithmetic
     agree byte-for-byte for preempting machines, across issue rates
     *and* Rambus timings (including a pipelined channel, which prices
     queued background transfers differently than the recording did)."""
@@ -165,10 +170,6 @@ def test_three_way_byte_identity_across_rates_and_dram(label, build):
             expected = simulate(
                 cell, programs(), slice_refs=SLICE_REFS
             ).stats.as_dict()
-            filtered = simulate(
-                cell, programs(), slice_refs=SLICE_REFS, replay_plane=plane
-            )
-            assert filtered.stats.as_dict() == expected
             decoupled = replay_decoupled(cell, plane)
             assert decoupled.stats.as_dict() == expected
 
@@ -208,21 +209,27 @@ def test_replay_group_matches_per_cell_on_tape_only_planes():
 
 
 def test_filtered_replay_rejects_structurally_mismatched_machine():
-    """A preempting plane drives preemptions the non-preempting machine
-    never takes; the filtered replay detects the divergence instead of
-    silently producing wrong numbers."""
+    """A plane re-prices only the machine it was recorded on: a
+    non-switching cell, another page size or a conventional machine
+    must raise instead of inheriting the recording's counters (its
+    switches on a miss among them)."""
     _, plane = record_plane(rampage_machine(10**9, 1024, switch_on_miss=True))
-    with pytest.raises(PlaneReplayError):
-        simulate(
-            rampage_machine(10**9, 1024),
-            programs(),
-            slice_refs=SLICE_REFS,
-            replay_plane=plane,
-        )
+    sibling = rampage_machine(4 * 10**9, 1024, switch_on_miss=True)
+    mismatched = [
+        rampage_machine(10**9, 1024),
+        rampage_machine(10**9, 2048, switch_on_miss=True),
+        baseline_machine(10**9, 1024),
+    ]
+    for cell in mismatched:
+        with pytest.raises(PlaneReplayError, match="structurally different"):
+            replay_decoupled(cell, plane)
+        with pytest.raises(PlaneReplayError, match="structurally different"):
+            replay_group([sibling, cell], plane)
+    assert replay_group([sibling], plane)[0].stats.switches_on_miss > 0
 
 
 # ----------------------------------------------------------------------
-# Disk artifacts: v2 round-trip, corruption, v1 back-compat
+# Disk artifacts: round-trip, corruption, stale layouts
 # ----------------------------------------------------------------------
 
 
@@ -235,7 +242,6 @@ def test_v2_plane_round_trips_through_disk(tmp_path):
     assert manifest["dops"] == len(plane.dops)
     attached = load_plane(path)
     assert np.array_equal(attached.dops, plane.dops)
-    assert np.array_equal(attached.chunks, plane.chunks)
     for rate in RATES:
         cell = rampage_machine(rate, 1024, switch_on_miss=True)
         assert (
@@ -284,62 +290,54 @@ def test_cache_verify_validates_v2_checksums(tmp_path, capsys):
     assert "dops.npy" in out
 
 
-def _rewrite_as_v1(path) -> None:
-    """Rewrite a committed non-preempting v2 artifact in v1 format:
-    3-column chunk table, no decision-op tape, v1 schema tag."""
-    manifest = json.loads((path / MANIFEST_NAME).read_text("utf-8"))
-    chunks = np.load(path / "chunks.npy")
-    np.save(path / "chunks.npy", np.ascontiguousarray(chunks[:, :3]))
-    (path / "dops.npy").unlink()
-    manifest["schema"] = PLANE_SCHEMA_V1
-    del manifest["dops"]
-    del manifest["checksums"]["dops.npy"]
-    manifest["checksums"]["chunks.npy"] = missplane._file_checksum(
-        path / "chunks.npy"
-    )
-    (path / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2) + "\n", "utf-8"
-    )
+def _write_stale_plane(cache_dir, key: str, schema: str):
+    """Hand-write a plane directory holding an older layout's manifest."""
+    path = artifact_dir(cache_dir, key)
+    path.mkdir(parents=True)
+    manifest = {
+        "schema": schema,
+        "workload_version": WORKLOAD_VERSION,
+        "key": key,
+        "checksums": {},
+    }
+    (path / MANIFEST_NAME).write_text(json.dumps(manifest), "utf-8")
+    return path
 
 
-def test_v1_plane_stays_readable(tmp_path):
-    """Backward compatibility: a v1 artifact (pre-preemption layout)
-    loads, upgrades in memory (consumed = n_refs, empty dops) and
-    replays identically to the v2 copy of the same recording."""
-    params = rampage_machine(10**9, 1024)
-    _, plane = record_plane(params)
+def test_load_plane_rejects_v1_and_v2_manifests(tmp_path):
+    """Older layouts are never read, not even a genuine recording's
+    arrays relabelled with an old schema tag."""
+    _, plane = record_plane(rampage_machine(10**9, 1024, switch_on_miss=True))
     path = write_plane(artifact_dir(tmp_path, plane.key), plane)
-    _rewrite_as_v1(path)
-    v1 = load_plane(path)
-    assert len(v1.dops) == 0
-    assert np.array_equal(v1.chunks[:, 3], v1.chunks[:, 1])
-    for rate in RATES:
-        cell = rampage_machine(rate, 1024)
-        expected = simulate(
-            cell, programs(), slice_refs=SLICE_REFS
-        ).stats.as_dict()
-        assert replay_decoupled(cell, v1).stats.as_dict() == expected
-        filtered = simulate(
-            cell, programs(), slice_refs=SLICE_REFS, replay_plane=v1
-        )
-        assert filtered.stats.as_dict() == expected
+    manifest = json.loads((path / MANIFEST_NAME).read_text("utf-8"))
+    assert STALE_PLANE_SCHEMAS == ("rampage-plane/1", "rampage-plane/2")
+    for schema in STALE_PLANE_SCHEMAS:
+        manifest["schema"] = schema
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest), "utf-8")
+        with pytest.raises(StaleArtifactError, match="stale schema"):
+            load_plane(path)
+
+
+def test_cache_verify_reports_stale_planes(tmp_path, capsys):
+    _, plane = record_plane(rampage_machine(10**9, 1024))
+    write_plane(artifact_dir(tmp_path, plane.key), plane)
     assert main(["cache", "verify", "--dir", str(tmp_path)]) == 0
+    _write_stale_plane(tmp_path, "0" * 24, "rampage-plane/2")
+    capsys.readouterr()
+    assert main(["cache", "verify", "--dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert f"STALE plane {'0' * 24}" in out
+    assert "CORRUPT" not in out
 
 
-def test_v1_schema_tag_on_preempting_layout_is_rejected(tmp_path):
-    """A v1 manifest must describe a v1 layout: the 4-column chunk
-    table of a v2 artifact fails shape validation instead of silently
-    misparsing."""
-    params = rampage_machine(10**9, 1024)
-    _, plane = record_plane(params)
-    path = write_plane(artifact_dir(tmp_path, plane.key), plane)
-    manifest = json.loads((path / MANIFEST_NAME).read_text("utf-8"))
-    manifest["schema"] = PLANE_SCHEMA_V1
-    (path / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2) + "\n", "utf-8"
-    )
-    with pytest.raises(CacheIntegrityError):
-        load_plane(path)
+def test_cache_purge_corrupt_only_drops_stale_planes(tmp_path):
+    _, plane = record_plane(rampage_machine(10**9, 1024))
+    live = write_plane(artifact_dir(tmp_path, plane.key), plane)
+    stale = _write_stale_plane(tmp_path, "0" * 24, "rampage-plane/2")
+    assert main(["cache", "purge", "--corrupt-only", "--dir", str(tmp_path)]) == 0
+    assert not stale.exists()
+    assert live.exists()
+    assert main(["cache", "verify", "--dir", str(tmp_path)]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -354,8 +352,19 @@ def test_preempting_plane_snapshot_carries_overlap():
     _, plane = record_plane(rampage_machine(10**9, 1024, switch_on_miss=True))
     assert plane.stats["dram_overlap_ps"] > 0
     assert plane.stats["switches_on_miss"] > 0
-    consumed = plane.chunks[:, 3]
-    assert np.any(consumed < plane.chunks[:, 1])  # some chunks preempted
+    # Every switch on a miss queues exactly one background page fill.
+    fills = int(np.count_nonzero(plane.dops[:, 0] == DOP_BG_FILL))
+    assert fills == plane.stats["switches_on_miss"]
+
+
+def test_capture_refuses_switching_run_without_decision_ops():
+    """A run that switched on a miss cannot be priced from the DRAM
+    tape alone, so a recorder that captured no decision ops for it is
+    refused at capture."""
+    params = rampage_machine(10**9, 1024, switch_on_miss=True)
+    stats = {"switches_on_miss": 1, "dram_accesses": 0, "level_times": {}}
+    with pytest.raises(SimulationError, match="without a decision-op tape"):
+        PlaneRecorder("synthetic").capture(1_000, stats, params)
 
 
 def test_dop_tape_scales_with_rambus_timing():

@@ -253,14 +253,10 @@ def test_negative_wait_ordinal_raises_in_both_engines():
 def test_miss_plane_kernel_wraps_malformed_tape_as_replay_error():
     plane = missplane.MissPlane(
         key="synthetic",
-        chunks=np.zeros((0, 4), dtype=np.int64),
-        events=np.zeros((0, 6), dtype=np.int64),
-        flags=np.zeros(0, dtype=np.uint8),
-        gaps=np.zeros((0, 4), dtype=np.int64),
-        dirty=np.zeros(0, dtype=np.int64),
         tape=np.zeros(0, dtype=np.int64),
         cycle_ps=1_000,
         stats={},
+        structure="",
         dops=np.asarray([(DOP_WAIT, 3, 0)], dtype=np.int64),
     )
     with pytest.raises(PlaneReplayError):
@@ -270,14 +266,10 @@ def test_miss_plane_kernel_wraps_malformed_tape_as_replay_error():
 def test_miss_plane_kernel_is_memoized():
     plane = missplane.MissPlane(
         key="synthetic",
-        chunks=np.zeros((0, 4), dtype=np.int64),
-        events=np.zeros((0, 6), dtype=np.int64),
-        flags=np.zeros(0, dtype=np.uint8),
-        gaps=np.zeros((0, 4), dtype=np.int64),
-        dirty=np.zeros(0, dtype=np.int64),
         tape=np.zeros(0, dtype=np.int64),
         cycle_ps=1_000,
         stats={},
+        structure="",
         dops=np.asarray([(DOP_SYNC, 64, 0)], dtype=np.int64),
     )
     assert plane.kernel() is plane.kernel()

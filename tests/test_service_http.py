@@ -6,9 +6,13 @@ process.  The headline contract: records fetched over HTTP are
 same grid, and resubmitting a served grid never simulates anything.
 """
 
+import asyncio
 import json
+import queue
+import re
 import urllib.error
 import urllib.request
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -136,6 +140,80 @@ def test_watch_streams_cell_progress(service):
     assert [item[:2] for item in cells] == [(1, 2), (2, 2)]
     assert all(mode in ("full", "recorded", "replayed", "cached")
                for _, _, mode in cells)
+
+
+@dataclass
+class _Job:
+    id: str
+    status: str
+
+    @property
+    def terminal(self) -> bool:
+        return self.status in ("completed", "failed")
+
+    def as_dict(self) -> dict:
+        return {"id": self.id, "status": self.status}
+
+
+class _ScriptedStore:
+    """Reads the job running once, then terminal."""
+
+    def __init__(self, running: _Job, finished: _Job) -> None:
+        self._reads = [running]
+        self._finished = finished
+
+    def get(self, job_id: str) -> _Job:
+        return self._reads.pop() if self._reads else self._finished
+
+
+class _ScriptedScheduler:
+    def __init__(self, payloads: list[dict]) -> None:
+        self.channel: queue.Queue = queue.Queue()
+        for payload in payloads:
+            self.channel.put(payload)
+        self.unsubscribed = False
+
+    def subscribe(self, job_id: str) -> queue.Queue:
+        return self.channel
+
+    def unsubscribe(self, job_id: str, channel: queue.Queue) -> None:
+        self.unsubscribed = True
+
+
+class _Capture:
+    def __init__(self) -> None:
+        self.data = bytearray()
+
+    def write(self, blob: bytes) -> None:
+        self.data += blob
+
+    async def drain(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("terminal_queued", [False, True], ids=["progress", "terminal"])
+def test_sse_drains_events_queued_after_the_job_turns_terminal(
+    tmp_path, terminal_queued
+):
+    """The store reads the job terminal while a ``cell_completed`` is
+    still queued (the scheduler journals before it broadcasts): the
+    stream delivers it, then the terminal event exactly once."""
+    job_id = "ab" * 8
+    payloads = [
+        {"event": "cell_completed", "job": job_id, "key": "k1", "done": 1},
+        {"event": "cell_completed", "job": job_id, "key": "k2", "done": 2},
+    ]
+    if terminal_queued:
+        payloads.append({"event": "job_completed", "job": job_id, "done": 2})
+    svc = SweepService(config(tmp_path / "cache"), port=0, workers=1)
+    svc.store = _ScriptedStore(_Job(job_id, "running"), _Job(job_id, "completed"))
+    svc.scheduler = _ScriptedScheduler(payloads)
+    writer = _Capture()
+    asyncio.run(svc._stream_events(_Job(job_id, "running"), writer))
+    events = re.findall(r"^event: (\S+)$", writer.data.decode("utf-8"), re.M)
+    assert events == ["job", "cell_completed", "cell_completed", "job_completed"]
+    assert svc.scheduler.channel.empty()
+    assert svc.scheduler.unsubscribed
 
 
 def test_http_error_surfaces(service):

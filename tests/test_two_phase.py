@@ -1,10 +1,10 @@
 """Tests for the two-phase sweep engine (miss planes + decoupled replay).
 
 The contract: phase 1 runs the shared L1/TLB front-end once per
-geometry key and persists a *miss plane*; phase 2 replays it -- either
-event-filtered (``simulate(replay_plane=...)``) or timing-decoupled
-(:func:`replay_decoupled`) -- and produces **byte-identical** run
-records for every cell in the plane group.  Plane artifacts carry the
+geometry key and persists a *miss plane*; phase 2 re-prices it with the
+timing-decoupled :func:`replay_decoupled` and produces
+**byte-identical** run records for every cell in the plane group, as
+the full simulation of each cell would.  Plane artifacts carry the
 run-record cache's integrity discipline: corrupt or diverging planes
 are quarantined with a structured event and the cell re-records,
 never a crash.
@@ -27,6 +27,7 @@ from repro.systems.factory import (
     baseline_machine,
     rampage_machine,
     twoway_machine,
+    virtual_l1_machine,
 )
 from repro.systems.simulator import simulate
 from repro.trace import filter as missplane
@@ -149,7 +150,27 @@ def machines():
     ]
 
 
-@pytest.mark.parametrize("label,build", machines(), ids=[m[0] for m in machines()])
+def recording_machines():
+    """Every plane-eligible machine shape, preempting ones included."""
+    return machines() + [
+        ("twoway", lambda rate: twoway_machine(rate, 512)),
+        (
+            "rampage_som",
+            lambda rate: rampage_machine(rate, 1024, switch_on_miss=True),
+        ),
+        ("vl1", lambda rate: virtual_l1_machine(rate, 1024)),
+        (
+            "vl1_som",
+            lambda rate: virtual_l1_machine(rate, 1024, switch_on_miss=True),
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "label,build",
+    recording_machines(),
+    ids=[m[0] for m in recording_machines()],
+)
 def test_recording_run_is_byte_identical_to_plain_run(label, build):
     params = build(10**9)
     plain = run_plain(params)
@@ -160,18 +181,13 @@ def test_recording_run_is_byte_identical_to_plain_run(label, build):
 
 @pytest.mark.parametrize("label,build", machines(), ids=[m[0] for m in machines()])
 def test_replays_match_full_simulation_across_rates(label, build):
-    """One plane recorded at one rate serves every rate in the sweep --
-    both the event-filtered and the timing-decoupled replay reproduce
-    the unfiltered run's stats exactly (preemption-free machines, so
-    chunk tails replay without divergence)."""
+    """One plane recorded at one rate serves every rate in the sweep:
+    the timing-decoupled replay reproduces each rate's full simulation
+    exactly."""
     _, plane = record_plane(build(10**9))
     for rate in RATES:
         cell = build(rate)
         expected = run_plain(cell).stats.as_dict()
-        filtered = simulate(
-            cell, programs(), slice_refs=SLICE_REFS, replay_plane=plane
-        )
-        assert filtered.stats.as_dict() == expected
         decoupled = replay_decoupled(cell, plane)
         assert decoupled.stats.as_dict() == expected
 
@@ -218,6 +234,15 @@ def test_plane_round_trips_through_disk(tmp_path):
         )
 
 
+def test_committed_plane_holds_only_the_two_tapes(tmp_path):
+    """A plane is its DRAM tape, its decision-op tape and a manifest --
+    nothing the decoupled replay does not read."""
+    _, plane = record_plane(rampage_machine(10**9, 1024, switch_on_miss=True))
+    committed = commit_plane(plane, cache_dir=tmp_path)
+    names = sorted(path.name for path in Path(committed.path).iterdir())
+    assert names == ["dops.npy", MANIFEST_NAME, "tape.npy"]
+
+
 def test_attach_plane_memoizes_by_path(tmp_path):
     _, plane = record_plane(baseline_machine(10**9, 512))
     path = write_plane(artifact_dir(tmp_path, plane.key), plane)
@@ -230,9 +255,9 @@ def test_attach_plane_memoizes_by_path(tmp_path):
     [
         lambda path: (path / "tape.npy").write_bytes(b"torn"),
         lambda path: (path / MANIFEST_NAME).write_text("{ torn", "utf-8"),
-        lambda path: (path / "events.npy").unlink(),
+        lambda path: (path / "tape.npy").unlink(),
     ],
-    ids=["truncated-tape", "torn-manifest", "missing-events"],
+    ids=["truncated-tape", "torn-manifest", "missing-tape"],
 )
 def test_corrupt_artifact_is_quarantined_miss(tmp_path, damage):
     params = baseline_machine(10**9, 512)
