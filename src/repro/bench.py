@@ -55,7 +55,7 @@ mismatch fails the run -- the CI identity gate for the kernel.
 Usage:
     rampage-sim bench [--rounds N] [--note TEXT] [--out FILE] [--replay]
     rampage-sim bench --check
-    PYTHONPATH=src python tools/bench_snapshot.py [...]   # same tool
+    PYTHONPATH=src python -m repro.cli bench [...]   # from a source checkout
 """
 
 from __future__ import annotations

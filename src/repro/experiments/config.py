@@ -28,10 +28,12 @@ REPRO_EVENT_LOG    structured JSONL event-log file ('' disables)
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from repro.core.clock import cycle_time_ps
 from repro.core.errors import ConfigurationError
 
 DEFAULT_RATES = (200_000_000, 1_000_000_000, 4_000_000_000)
@@ -52,14 +54,20 @@ class ExperimentConfig:
     event_log: Path | None = None
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ConfigurationError(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ConfigurationError(
+                f"scale must be positive and finite, got {self.scale}"
+            )
         if self.slice_refs <= 0:
             raise ConfigurationError(
                 f"slice_refs must be positive, got {self.slice_refs}"
             )
         if not self.issue_rates or not self.sizes:
             raise ConfigurationError("issue_rates and sizes must be non-empty")
+        # The clock's own rule, so a job is refused when submitted rather
+        # than failing when run: a rate must divide 10^12 ps.
+        for rate in self.issue_rates:
+            cycle_time_ps(rate)
 
     @property
     def slow_rate(self) -> int:

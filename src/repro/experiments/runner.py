@@ -176,52 +176,29 @@ def shard_prefix(key: str) -> str:
 
 
 def record_path(cache_dir: str | Path, key: str) -> Path:
-    """The canonical (sharded) on-disk location for ``key``'s record.
-
-    All new records commit here; the flat pre-shard layout
-    (``<cache>/<key>.json``) remains readable via :func:`find_record`.
-    """
+    """The on-disk location of ``key``'s record: ``shards/<prefix>/<key>.json``."""
     return Path(cache_dir) / SHARD_DIRNAME / shard_prefix(key) / f"{key}.json"
 
 
-def legacy_record_path(cache_dir: str | Path, key: str) -> Path:
-    """Where a pre-shard cache committed ``key``'s record."""
-    return Path(cache_dir) / f"{key}.json"
-
-
 def find_record(cache_dir: str | Path, key: str) -> Path | None:
-    """Locate ``key``'s record, federating across cache layouts.
+    """``key``'s committed record file, or ``None`` when there is none.
 
-    Checks the sharded layout first (where all writes go), then the
-    legacy flat layout, so a cache written by an earlier version keeps
-    serving hits.  Returns ``None`` when the key is in neither place.
+    Only the sharded layout is read: a flat ``<cache>/<key>.json`` left
+    by a pre-shard cache misses, and its cell is recomputed.
     """
-    for path in (
-        record_path(cache_dir, key),
-        legacy_record_path(cache_dir, key),
-    ):
-        if path.exists():
-            return path
-    return None
+    path = record_path(cache_dir, key)
+    return path if path.exists() else None
 
 
 def iter_cache_files(cache_dir: str | Path) -> Iterator[Path]:
-    """Every committed record file in ``cache_dir``, sorted by name.
-
-    Covers both layouts: the sharded ``shards/<prefix>/<key>.json``
-    tree and the legacy flat ``<key>.json`` files.
-    """
-    cache_dir = Path(cache_dir)
-    paths = list(cache_dir.glob("*.json"))
-    paths += cache_dir.glob(f"{SHARD_DIRNAME}/*/*.json")
+    """Every committed record file in ``cache_dir``, sorted by name."""
+    paths = Path(cache_dir).glob(f"{SHARD_DIRNAME}/*/*.json")
     yield from sorted(paths, key=lambda path: path.name)
 
 
 def iter_quarantined_files(cache_dir: str | Path) -> Iterator[Path]:
     """Every quarantined record file in ``cache_dir``, sorted by name."""
-    cache_dir = Path(cache_dir)
-    paths = list(cache_dir.glob(f"*.json{QUARANTINE_SUFFIX}"))
-    paths += cache_dir.glob(f"{SHARD_DIRNAME}/*/*.json{QUARANTINE_SUFFIX}")
+    paths = Path(cache_dir).glob(f"{SHARD_DIRNAME}/*/*.json{QUARANTINE_SUFFIX}")
     yield from sorted(paths, key=lambda path: path.name)
 
 

@@ -4,8 +4,8 @@ A *report* is a named view over one or more experiment grids (the five
 sweep grids of :data:`~repro.experiments.runner.GRID_BUILDERS`, or the
 paper's figure groupings).  :func:`build_report` resolves the name to
 its cell cache keys -- the same derivation the runner and the service
-planner use -- then loads whatever records already exist through the
-sharded/legacy-federated cache (:func:`~repro.experiments.runner.find_record`).
+planner use -- then loads whatever records already exist from the
+sharded record cache (:func:`~repro.experiments.runner.find_record`).
 
 The contract the exporters and the HTTP route rely on:
 

@@ -69,9 +69,6 @@ from repro.experiments.runner import GRID_BUILDERS, Runner
 #: v2 adds the ``lease``/``release`` ops; v1 journals replay unchanged.
 JOURNAL_SCHEMA = "rampage-job/2"
 
-#: Schemas :meth:`JobStore.recover` accepts.
-COMPATIBLE_SCHEMAS = frozenset({"rampage-job/1", JOURNAL_SCHEMA})
-
 JOURNAL_NAME = "journal.jsonl"
 
 #: Sibling lock file arbitrating cross-process journal appends/claims.
@@ -91,6 +88,13 @@ ACTIVE_STATES = frozenset({QUEUED, RUNNING})
 
 #: Default grid labels for a submission that names none.
 DEFAULT_LABELS = ("baseline", "rampage")
+
+
+def _listed(value, name: str) -> list | tuple:
+    """``value`` when it is a list, else a TypeError naming the field."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{name} must be a list, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -126,25 +130,28 @@ class JobSpec:
             raise ConfigurationError(
                 f"job spec must be an object, got {type(payload).__name__}"
             )
-        labels = payload.get("labels", DEFAULT_LABELS)
-        if isinstance(labels, str):
-            labels = labels.split(",")
-        # Tolerate surrounding whitespace however the labels arrived
-        # ("baseline, rampage" is a label list, not an unknown grid).
-        labels = [
-            token for token in (str(label).strip() for label in labels) if token
-        ]
         try:
+            labels = payload.get("labels", DEFAULT_LABELS)
+            if isinstance(labels, str):
+                labels = labels.split(",")
+            # Tolerate surrounding whitespace however the labels arrived
+            # ("baseline, rampage" is a label list, not an unknown grid).
+            labels = [
+                token
+                for token in (str(label).strip() for label in _listed(labels, "labels"))
+                if token
+            ]
             return cls(
                 labels=tuple(labels),
                 scale=float(payload.get("scale", base.scale)),
                 slice_refs=int(payload.get("slice_refs", base.slice_refs)),
                 issue_rates=tuple(
                     int(rate)
-                    for rate in payload.get("rates", base.issue_rates)
+                    for rate in _listed(payload.get("rates", base.issue_rates), "rates")
                 ),
                 sizes=tuple(
-                    int(size) for size in payload.get("sizes", base.sizes)
+                    int(size)
+                    for size in _listed(payload.get("sizes", base.sizes), "sizes")
                 ),
                 seed=int(payload.get("seed", base.seed)),
             )

@@ -460,9 +460,8 @@ class SweepScheduler:
     def record_path(self, key: str) -> Path | None:
         """The on-disk cache file serving ``key``, if caching is on.
 
-        Federates across the sharded layout (``shards/<prefix>/``) and
-        the legacy flat layout; ``None`` when caching is off or the
-        record does not exist in either.
+        Looks in the sharded layout (``shards/<prefix>/``); ``None``
+        when caching is off or the record does not exist.
         """
         if self.config.cache_dir is None:
             return None

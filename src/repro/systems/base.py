@@ -11,9 +11,10 @@ inclusion maintenance -- and defines the access protocol:
   replay).
 * :meth:`run_chunk` consumes a :class:`~repro.trace.record.TraceChunk`
   and returns how many references it consumed.  The base implementation
-  just loops over :meth:`access`; subclasses override it with an
-  inlined fast path that must stay observationally identical (tests
-  assert equivalence between the two).
+  loops over :meth:`access` and is each machine's oracle; both machines
+  route direct-mapped L1s to the run-collapsed
+  :meth:`_run_chunk_vectorized` instead, which must stay observationally
+  identical (tests assert equivalence between the two).
 
 Timing rules are documented in DESIGN.md section 4; every charge in
 this file cites the paper parameter it implements.
@@ -220,16 +221,18 @@ class MemorySystem:
         reference settles the block, one L1 outcome, so hit counters
         and issue cycles can be added in one step.
 
-        Only valid for direct-mapped L1s (associative L1s update
-        replacement state per probe, which a collapsed run would skip);
-        callers fall back to their scalar loops otherwise.
+        Only valid for direct-mapped L1s: the tag probe reads the single
+        slot a block can occupy.  (Associative probes have no side
+        effects either -- replacement is random and decided only on
+        fills -- but need ``slot_of``.)  Associative L1s run the
+        :meth:`access` oracle instead.
 
         ``stable_translation`` mirrors the machines' micro-cache rules:
         the conventional machine's frames never move, so the last
         (vpn, frame) pair survives a slow translation; RAMpage drops it
         after every TLB miss (a fault may remap pages) and re-probes
         the TLB on the following reference.  Observationally identical
-        to the scalar paths -- the equivalence suites enforce it.
+        to the :meth:`access` oracle; the equivalence suites enforce it.
         """
         runs = chunk.runs_for(
             self._page_bits, self._l1_block_bits, self._vpn_space_bits
@@ -281,10 +284,10 @@ class MemorySystem:
                         last_frame = frame
                         tlb_hits += length - 1
                     elif length > 1:
-                        # The fault may have remapped pages: the scalar
-                        # loop re-probes the TLB (which now holds the
-                        # fresh entry) on the next reference before the
-                        # micro-cache takes over again.
+                        # The fault may have remapped pages: re-probe
+                        # the TLB (which now holds the fresh entry), as
+                        # access() does on the next reference, before
+                        # the micro-cache takes over again.
                         frame = tlb_get(gvpn)
                         last_vpn = gvpn
                         last_frame = frame

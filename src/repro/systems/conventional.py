@@ -21,7 +21,7 @@ from repro.mem.cache import SetAssociativeCache
 from repro.mem.victim import VictimBuffer
 from repro.ossim.footprint import CONVENTIONAL_OS_BASE, OsLayout, conventional_layout
 from repro.systems.base import MemorySystem
-from repro.trace.record import IFETCH, TraceChunk
+from repro.trace.record import TraceChunk
 
 
 class ConventionalSystem(MemorySystem):
@@ -136,114 +136,19 @@ class ConventionalSystem(MemorySystem):
         self.l2.mark_dirty(l2_block)
 
     # ------------------------------------------------------------------
-    # Fast chunk path
+    # Chunk loop
     # ------------------------------------------------------------------
 
     def run_chunk(self, chunk: TraceChunk) -> int:
-        """Fast chunk path; observationally identical to base access().
+        """Consume a chunk; observationally identical to base access().
 
         DRAM pages are never reclaimed in this machine, so a
         (vpn -> frame) micro-cache over the last translation is safe --
         and survives slow translations (``stable_translation=True``).
-        Direct-mapped L1s take the run-collapsed vectorized loop;
-        associative L1s need per-probe replacement updates and fall
-        back to the scalar loop below.
+        Direct-mapped L1s take the run-collapsed loop, whose tag probe
+        reads the one slot a block can occupy; associative L1s run the
+        ``access()`` oracle.
         """
         if self.l1i.ways == 1 and self.l1d.ways == 1:
             return self._run_chunk_vectorized(chunk, stable_translation=True)
-        return self._run_chunk_scalar(chunk)
-
-    def _run_chunk_scalar(self, chunk: TraceChunk) -> int:
-        """Inlined per-reference hot loop (associative-L1 fallback)."""
-        kinds = chunk.kinds_list
-        addrs = chunk.addrs_list
-        n = len(kinds)
-        pid_base = chunk.pid << self._vpn_space_bits
-        page_bits = self._page_bits
-        page_mask = self._page_mask
-        l1_bits = self._l1_block_bits
-        tlb = self.tlb
-        l1i, l1d = self.l1i, self.l1d
-        fast_l1 = l1i.ways == 1 and l1d.ways == 1
-        i_tags, d_tags = l1i.tags, l1d.tags
-        d_dirty = l1d.dirty
-        i_mask, d_mask = l1i.set_mask, l1d.set_mask
-        clock = self.clock
-        lt = self.lt
-        stats = self.stats
-        ifetches = reads = writes = 0
-        i_hits = d_hits = 0
-        icycles = 0
-        last_vpn = -1
-        last_frame = 0
-        for idx in range(n):
-            vaddr = addrs[idx]
-            gvpn = pid_base | (vaddr >> page_bits)
-            if gvpn == last_vpn:
-                frame = last_frame
-                tlb.hits += 1
-            else:
-                frame = tlb.lookup(gvpn)
-                if frame is None:
-                    if icycles:
-                        lt.l1i += clock.tick_cycles(icycles)
-                        icycles = 0
-                    frame = self._translate(gvpn)
-                last_vpn = gvpn
-                last_frame = frame
-            paddr = (frame << page_bits) | (vaddr & page_mask)
-            kind = kinds[idx]
-            block = paddr >> l1_bits
-            if kind == IFETCH:
-                ifetches += 1
-                if fast_l1 and i_tags[block & i_mask] == block:
-                    i_hits += 1
-                    icycles += 1
-                    continue
-                if icycles:
-                    lt.l1i += clock.tick_cycles(icycles)
-                    icycles = 0
-                if not fast_l1:
-                    slot = l1i.slot_of(block)
-                    if slot != -1:
-                        i_hits += 1
-                        lt.l1i += clock.tick_cycles(self._l1_hit_cycles)
-                        continue
-                self._l1_miss(l1i, block, paddr, kind)
-            else:
-                if fast_l1:
-                    slot = block & d_mask
-                    if d_tags[slot] == block:
-                        d_hits += 1
-                        if kind == 1:
-                            writes += 1
-                            d_dirty[slot] = 1
-                        else:
-                            reads += 1
-                        continue
-                else:
-                    slot = l1d.slot_of(block)
-                    if slot != -1:
-                        d_hits += 1
-                        if kind == 1:
-                            writes += 1
-                            l1d.dirty[slot] = 1
-                        else:
-                            reads += 1
-                        continue
-                if kind == 1:
-                    writes += 1
-                else:
-                    reads += 1
-                if icycles:
-                    lt.l1i += clock.tick_cycles(icycles)
-                    icycles = 0
-                self._l1_miss(l1d, block, paddr, kind)
-        if icycles:
-            lt.l1i += clock.tick_cycles(icycles)
-        stats.ifetches += ifetches
-        stats.reads += reads
-        stats.writes += writes
-        stats.l1i_hits += i_hits
-        stats.l1d_hits += d_hits
-        return n
+        return super().run_chunk(chunk)

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from repro.core.errors import ConfigurationError
 from repro.core.params import MachineParams
-from repro.mem.sram_memory import SramMainMemory
+from repro.mem.sram_memory import FaultOutcome, SramMainMemory
 from repro.ossim.footprint import OsLayout, rampage_layout
 from repro.systems.base import MemorySystem
-from repro.trace.record import IFETCH, TraceChunk
+from repro.trace.record import TraceChunk
 
 #: Bytes read from the DRAM-resident page table to locate a page's DRAM
 #: copy during a fault (one table entry plus its cache line padding).
@@ -79,7 +79,7 @@ class RampageSystem(MemorySystem):
         """Service a page fault from the SRAM main memory.
 
         Charges: fault-handler software (including the clock scan),
-        victim TLB flush, L1 flush of the reused frame, a DRAM
+        victim TLB flush, the L1 flush of :meth:`_fault_flush`, a DRAM
         page-table entry read, the dirty-victim writeback and the page
         fetch.  Under switch-on-miss the two page transfers are queued
         in the background and the process is preempted instead of
@@ -104,11 +104,7 @@ class RampageSystem(MemorySystem):
             # Standby-list reclaim: contents still in the frame.
             return outcome.frame
         frame = outcome.frame
-        dirty_l1 = False
-        if outcome.reused:
-            dirty_l1 = self._flush_l1_range(
-                frame << self._page_bits, self._page_bytes
-            )
+        dirty_l1 = self._fault_flush(outcome)
         if self._plane_shadow:
             ordinal = self._plane_shadow.pop(frame, None)
             if ordinal is not None:
@@ -152,6 +148,18 @@ class RampageSystem(MemorySystem):
             self._dram_sync(self._page_bytes)
         return frame
 
+    def _fault_flush(self, outcome: FaultOutcome) -> bool:
+        """Flush the L1 blocks of a reused frame by physical range.
+
+        Returns True when a dirty block was found, so the page being
+        replaced must be written back.
+        """
+        if not outcome.reused:
+            return False
+        return self._flush_l1_range(
+            outcome.frame << self._page_bits, self._page_bytes
+        )
+
     def _prune_pending(self, now_ps: int) -> None:
         if not self._pending:
             return
@@ -185,125 +193,23 @@ class RampageSystem(MemorySystem):
         self.sram.mark_dirty(frame)
 
     # ------------------------------------------------------------------
-    # Fast chunk path
+    # Chunk loop
     # ------------------------------------------------------------------
 
     def run_chunk(self, chunk: TraceChunk) -> int:
-        """Fast chunk path; observationally identical to base access().
+        """Consume a chunk; observationally identical to base access().
 
         Unlike the conventional machine, no micro-cache over the last
         translation survives a slow path: a page fault can unmap any
         page, so the cached (vpn, frame) pair is dropped after every
         TLB miss (``stable_translation=False``).  Direct-mapped L1s
-        take the run-collapsed vectorized loop; associative L1s fall
-        back to the scalar loop below.
+        take the run-collapsed loop, whose tag probe reads the one slot
+        a block can occupy; associative L1s run the ``access()`` oracle.
         """
         self._current_pid = chunk.pid
         if self.l1i.ways == 1 and self.l1d.ways == 1:
             return self._run_chunk_vectorized(chunk, stable_translation=False)
-        return self._run_chunk_scalar(chunk)
-
-    def _run_chunk_scalar(self, chunk: TraceChunk) -> int:
-        """Inlined per-reference hot loop (associative-L1 fallback)."""
-        kinds = chunk.kinds_list
-        addrs = chunk.addrs_list
-        n = len(kinds)
-        pid_base = chunk.pid << self._vpn_space_bits
-        page_bits = self._page_bits
-        page_mask = self._page_mask
-        l1_bits = self._l1_block_bits
-        tlb = self.tlb
-        l1i, l1d = self.l1i, self.l1d
-        fast_l1 = l1i.ways == 1 and l1d.ways == 1
-        i_tags, d_tags = l1i.tags, l1d.tags
-        d_dirty = l1d.dirty
-        i_mask, d_mask = l1i.set_mask, l1d.set_mask
-        clock = self.clock
-        lt = self.lt
-        stats = self.stats
-        ifetches = reads = writes = 0
-        i_hits = d_hits = 0
-        icycles = 0
-        last_vpn = -1
-        last_frame = 0
-        idx = 0
-        while idx < n:
-            vaddr = addrs[idx]
-            gvpn = pid_base | (vaddr >> page_bits)
-            if gvpn == last_vpn:
-                frame = last_frame
-                tlb.hits += 1
-            else:
-                frame = tlb.lookup(gvpn)
-                if frame is None:
-                    if icycles:
-                        lt.l1i += clock.tick_cycles(icycles)
-                        icycles = 0
-                    frame = self._translate(gvpn)
-                    last_vpn = -1  # a fault may have remapped pages
-                    if self._preempted:
-                        self._preempted = False
-                        break
-                else:
-                    last_vpn = gvpn
-                    last_frame = frame
-            paddr = (frame << page_bits) | (vaddr & page_mask)
-            kind = kinds[idx]
-            block = paddr >> l1_bits
-            idx += 1
-            if kind == IFETCH:
-                ifetches += 1
-                if fast_l1 and i_tags[block & i_mask] == block:
-                    i_hits += 1
-                    icycles += 1
-                    continue
-                if icycles:
-                    lt.l1i += clock.tick_cycles(icycles)
-                    icycles = 0
-                if not fast_l1:
-                    slot = l1i.slot_of(block)
-                    if slot != -1:
-                        i_hits += 1
-                        lt.l1i += clock.tick_cycles(self._l1_hit_cycles)
-                        continue
-                self._l1_miss(l1i, block, paddr, kind)
-            else:
-                if fast_l1:
-                    slot = block & d_mask
-                    if d_tags[slot] == block:
-                        d_hits += 1
-                        if kind == 1:
-                            writes += 1
-                            d_dirty[slot] = 1
-                        else:
-                            reads += 1
-                        continue
-                else:
-                    slot = l1d.slot_of(block)
-                    if slot != -1:
-                        d_hits += 1
-                        if kind == 1:
-                            writes += 1
-                            l1d.dirty[slot] = 1
-                        else:
-                            reads += 1
-                        continue
-                if kind == 1:
-                    writes += 1
-                else:
-                    reads += 1
-                if icycles:
-                    lt.l1i += clock.tick_cycles(icycles)
-                    icycles = 0
-                self._l1_miss(l1d, block, paddr, kind)
-        if icycles:
-            lt.l1i += clock.tick_cycles(icycles)
-        stats.ifetches += ifetches
-        stats.reads += reads
-        stats.writes += writes
-        stats.l1i_hits += i_hits
-        stats.l1d_hits += d_hits
-        return idx
+        return super().run_chunk(chunk)
 
     def access(self, kind: int, vaddr: int, pid: int = 0) -> bool:
         self._current_pid = pid

@@ -38,7 +38,8 @@ from __future__ import annotations
 from repro.core.errors import ConfigurationError
 from repro.core.params import MachineParams
 from repro.mem.inverted_page_table import FREE
-from repro.systems.rampage import DRAM_TABLE_ENTRY_BYTES, RampageSystem
+from repro.mem.sram_memory import FaultOutcome
+from repro.systems.rampage import RampageSystem
 from repro.trace.record import IFETCH, WRITE, TraceChunk
 
 #: Reserved "process id" tagging the OS's physically-addressed handler
@@ -101,7 +102,8 @@ class VirtualL1RampageSystem(RampageSystem):
         return True
 
     def run_chunk(self, chunk: TraceChunk) -> int:
-        """Scalar loop; the virtual path has no inlined fast loop."""
+        """The ``access()`` oracle loop; the virtual path has no fast loop."""
+        # Per-call tolist(): the base loop's list mirrors, cached on shared chunks, raise peak RSS.
         pid = chunk.pid
         kinds = chunk.kinds.tolist()
         addrs = chunk.addrs.tolist()
@@ -149,78 +151,17 @@ class VirtualL1RampageSystem(RampageSystem):
             )
         self.sram.mark_dirty(frame)
 
-    def _flush_victim_page(self, gvpn: int) -> bool:
-        """Flush a dying page's L1 blocks by virtual range."""
-        base_vblock = gvpn << self._blocks_per_page_bits
+    def _fault_flush(self, outcome: FaultOutcome) -> bool:
+        """Flush the discarded page's L1 blocks by virtual range.
+
+        Its lines are tagged with its vpn, so they must go even when the
+        page was clean, or they would alias a later re-fault.  A page
+        parked on the standby list keeps its frame and its lines, which
+        stay correct because a soft fault restores its mapping unchanged.
+        """
+        if outcome.discarded_vpn is None:
+            return False
+        base_vblock = outcome.discarded_vpn << self._blocks_per_page_bits
         return self._flush_l1_range(
             base_vblock << self._l1_block_bits, self._page_bytes
         )
-
-    def _page_fault(self, gvpn: int) -> int:
-        """Same fault protocol, but L1 flushes are by virtual page.
-
-        The flush must cover the *unmapped* page (its lines are tagged
-        with its vpn) before the frame is reused; soft-reclaimed pages
-        keep their lines, which stay correct because the vpn->frame
-        mapping is restored unchanged.
-        """
-        stats = self.stats
-        stats.page_faults += 1
-        pid = gvpn >> self._vpn_space_bits
-        stats.faults_by_pid[pid] = stats.faults_by_pid.get(pid, 0) + 1
-        outcome = self.sram.fault(gvpn)
-        parts = self.handlers.page_fault_parts(gvpn, outcome.scanned)
-        stats.fault_handler_refs += self.handlers.page_fault_ref_count(
-            outcome.scanned
-        )
-        self._run_handler_parts(parts)
-        if outcome.unmapped_vpn is not None:
-            self.tlb.flush_vpn(outcome.unmapped_vpn)
-        if outcome.soft:
-            return outcome.frame
-        frame = outcome.frame
-        dirty_l1 = False
-        if outcome.discarded_vpn is not None:
-            # The destroyed page's lines must go even when it was clean
-            # (they are tagged by vpn and would alias a later re-fault).
-            dirty_l1 = self._flush_victim_page(outcome.discarded_vpn)
-        # (On the standby path the clock victim parks with its frame and
-        # lines intact; nothing to flush for it -- its mapping returns
-        # unchanged on a soft fault.)
-        if self._plane_shadow:
-            ordinal = self._plane_shadow.pop(frame, None)
-            if ordinal is not None:
-                self._dop_sink.wait_op(ordinal, self.clock.cycles)
-        if frame in self._pending:
-            stall = self.clock.advance_to(self._pending.pop(frame))
-            self.lt.dram += stall
-            stats.dram_stall_ps += stall
-        needs_writeback = outcome.writeback_vpn is not None or dirty_l1
-        self._dram_sync(DRAM_TABLE_ENTRY_BYTES)
-        if self.switch_on_miss:
-            now = self.clock.now_ps
-            sink = self._dop_sink
-            if needs_writeback:
-                stats.page_writebacks += 1
-                self.channel.begin_background(now, self._page_bytes)
-                if sink is not None:
-                    sink.background_op(
-                        self._page_bytes, self.clock.cycles, fill=False
-                    )
-            ready = self.channel.begin_background(now, self._page_bytes)
-            if sink is not None:
-                self._plane_shadow[frame] = sink.background_op(
-                    self._page_bytes, self.clock.cycles, fill=True
-                )
-            stats.dram_overlap_ps += ready - now
-            self._prune_pending(now)
-            self._pending[frame] = ready
-            stats.switches_on_miss += 1
-            self.context_switch(self._current_pid)
-            self._preempted = True
-        else:
-            if needs_writeback:
-                stats.page_writebacks += 1
-                self._dram_sync(self._page_bytes)
-            self._dram_sync(self._page_bytes)
-        return frame

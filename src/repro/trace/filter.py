@@ -947,21 +947,6 @@ def discard_plane(
     )
 
 
-def attach_plane(path: str | Path) -> MissPlane:
-    """Attach to a plane artifact by path, memoized per process.
-
-    The worker-side entry point: a sweep worker receives the plane path
-    in its cell spec and attaches once (mmap); raises
-    :class:`CacheIntegrityError` when invalid -- the caller falls back
-    to the unfiltered path.
-    """
-    registry_key = ("path", str(Path(path)))
-    plane = _REGISTRY.get(registry_key)
-    if plane is None:
-        plane = _REGISTRY.remember(registry_key, load_plane(path))
-    return plane
-
-
 # ----------------------------------------------------------------------
 # Timing-decoupled replay (phase 2's fast path)
 # ----------------------------------------------------------------------

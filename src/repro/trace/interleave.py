@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro.core.errors import ConfigurationError
 from repro.trace.record import TraceChunk
 from repro.trace.synthetic import SyntheticProgram

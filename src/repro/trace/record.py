@@ -249,8 +249,8 @@ class TraceChunk:
     :meth:`head` inherit them: the list mirrors as slices, the runs as
     windows over the same run table, so a preempted chunk never
     re-translates references it already paid for.  A split still copies
-    the list mirrors when the chunk holds them (only the scalar loops
-    read those); the runs cost a bisect.
+    the list mirrors when the chunk holds them (only the ``access()``
+    oracle loop reads those); the runs cost a bisect.
     """
 
     pid: int

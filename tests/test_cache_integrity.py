@@ -160,6 +160,19 @@ def test_legacy_bare_record_is_quarantined(tmp_path):
     assert runner.cache_stats.quarantined == 1
 
 
+def test_flat_pre_shard_record_misses_and_is_recomputed(tmp_path):
+    """A record directly under the cache root is no longer read."""
+    cache_dir, path, original = seeded_cache(tmp_path)
+    flat = cache_dir / path.name
+    path.replace(flat)
+    assert list(iter_cache_files(cache_dir)) == []
+    runner = fresh_runner(cache_dir)
+    assert runner.record("baseline", PARAMS) == original
+    assert runner.cache_stats.misses == 1
+    assert runner.cache_stats.stores == 1
+    assert path.read_bytes() == flat.read_bytes()
+
+
 # ----------------------------------------------------------------------
 # Atomic commits
 # ----------------------------------------------------------------------

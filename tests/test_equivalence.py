@@ -1,13 +1,13 @@
-"""Fast chunk path vs scalar reference path equivalence.
+"""Run-collapsed chunk loop vs ``access()`` oracle equivalence.
 
-Both machines override :meth:`run_chunk` with an inlined hot loop; these
-tests assert the loop is *observationally identical* to the scalar
-``access()`` path the base class provides -- same statistics, same
-simulated time, same final cache state -- over interleaved multi-process
-traces, including page-fault-heavy RAMpage configurations.
+Both machines send direct-mapped L1s through the run-collapsed
+``_run_chunk_vectorized`` loop; these tests assert it is
+*observationally identical* to the ``access()`` oracle that the base
+class's ``run_chunk`` loops over -- same statistics, same simulated
+time, same final cache state -- over interleaved multi-process traces,
+including page-fault-heavy RAMpage configurations.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -29,7 +29,7 @@ from repro.bench import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import Runner, iter_cache_files
-from repro.service.fabric import WorkGroup, plan_groups, run_worker
+from repro.service.fabric import plan_groups, run_worker
 from repro.service.jobs import (
     COMPLETED,
     JOURNAL_SCHEMA,

@@ -13,7 +13,6 @@ import re
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
@@ -22,6 +21,7 @@ from repro.core.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import Runner, iter_cache_files
 from repro.service import ServiceClient, ServiceError, ServiceThread, SweepService
+from repro.service.jobs import JobSpec, plan_cells
 from repro.trace import materialize
 
 LABELS = ("baseline", "rampage")
@@ -247,6 +247,21 @@ def test_submit_rejects_malformed_json(service):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(request, timeout=10)
     assert excinfo.value.code == 400
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"labels": 5}, {"scale": "inf"}, {"rates": "1000"}, {"rates": [0]}],
+    ids=["labels-not-a-list", "scale-infinite", "rates-a-string", "rate-zero"],
+)
+def test_malformed_job_specs_are_rejected_at_admission(service, payload):
+    """Admission (spec parsing plus planning) refuses what execution would."""
+    svc, url = service
+    with pytest.raises(ConfigurationError):
+        plan_cells(JobSpec.from_request(payload, svc.config), svc.config)
+    with pytest.raises(ServiceError) as excinfo:
+        ServiceClient(url, retries=0).submit(payload)
+    assert excinfo.value.status == 400
 
 
 def test_backpressure_returns_429_with_retry_after(tmp_path):

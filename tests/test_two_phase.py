@@ -38,7 +38,6 @@ from repro.trace.filter import (
     PlaneRecorder,
     PlaneReplayError,
     artifact_dir,
-    attach_plane,
     commit_plane,
     get_plane,
     load_plane,
@@ -133,7 +132,8 @@ def test_eligibility():
     assert plane_eligible(rampage_machine(10**9, 1024))
     assert plane_eligible(twoway_machine(10**9, 512))  # 2-way L2, DM L1s
     # Preempting machines are eligible since rampage-plane/2 (the
-    # decision-op tape); only associative L1s still force the scalar loop.
+    # decision-op tape); only associative L1s, which run the access()
+    # oracle, are refused.
     assert plane_eligible(rampage_machine(10**9, 1024, switch_on_miss=True))
     assert not plane_eligible(baseline_machine(10**9, 512, l1=aggressive_l1()))
 
@@ -241,13 +241,6 @@ def test_committed_plane_holds_only_the_two_tapes(tmp_path):
     committed = commit_plane(plane, cache_dir=tmp_path)
     names = sorted(path.name for path in Path(committed.path).iterdir())
     assert names == ["dops.npy", MANIFEST_NAME, "tape.npy"]
-
-
-def test_attach_plane_memoizes_by_path(tmp_path):
-    _, plane = record_plane(baseline_machine(10**9, 512))
-    path = write_plane(artifact_dir(tmp_path, plane.key), plane)
-    first = attach_plane(path)
-    assert attach_plane(path) is first
 
 
 @pytest.mark.parametrize(
