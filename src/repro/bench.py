@@ -9,24 +9,21 @@ Two instruments, both appended as one snapshot:
   (default 4) is recorded, which filters scheduler noise the way
   pytest-benchmark's min-based ranking does.
 * **multi-cell sweep wall-clock** -- a serial :class:`Runner` filling a
-  cold run-record cache, measured three ways: with live per-cell trace
-  synthesis (the pre-materialization behaviour), with the materialized
-  workload plane but every cell fully simulated (``two_phase=False``),
-  and with the two-phase engine (record one miss plane per geometry
-  group, replay its siblings as timing arithmetic).  The recorded
-  ``two_phase_speedup`` is the headline number for the two-phase
-  engine.  ``--baseline-src`` additionally runs the sweep against
-  another source tree (a git worktree of an earlier commit) on *its*
-  default path, so the snapshot can record end-to-end speedup over
-  that commit.
+  cold run-record cache through the sweep engine: the workload is
+  materialized once, each plane group records one miss plane and its
+  siblings replay as timing arithmetic.  The best-of-rounds wall time
+  is recorded as ``wall_s``.  ``--baseline-src`` additionally runs the
+  sweep against another source tree (a git worktree of an earlier
+  commit) on *its* default path, so the snapshot can record end-to-end
+  speedup over that commit.
 
 The sweep shape matches what the paper's tables actually do: hold the
 geometry fixed and sweep the CPU/DRAM speed ratio (three issue rates,
 one size, three machines including switch-on-miss RAMpage -- nine
-cells in three plane groups).  Each snapshot also records the
-two-phase sweep's replay-mode mix (``full`` / ``recorded`` /
-``replayed`` cell counts), so a regression that silently drops cells
-back to full simulation shows up in the history.
+cells in three plane groups).  Each snapshot also records the sweep's
+replay-mode mix (``full`` / ``recorded`` / ``replayed`` cell counts),
+so a regression that silently drops cells back to full simulation
+shows up in the history.
 
 Environment fields (host, python, cpu) are **derived, never
 hand-edited**: earlier snapshots drifted ("container" vs "vm" for the
@@ -35,12 +32,13 @@ itself on every append and warns when the environment changed since the
 previous snapshot, since refs/s are only comparable within one host.
 
 ``--check`` runs a fast self-test on a tiny workload instead of
-benchmarking: materialized replay must be byte-identical to live
-synthesis, run records must match between the legacy and materialized
-paths, and -- for plane-eligible machines -- a plane-recording run and
-the timing-decoupled replay must both match the plain simulation.  CI
-uses it as a smoke gate so none of the fast paths can silently desync
-from the reference behaviour.
+benchmarking: the materialized trace must carry the same references as
+live synthesis; for plane-eligible machines a plane-recording run and
+the group replay must both match the plain simulation; and a cold
+sweep must replay every plane-eligible cell and leave records equal to
+full simulation over live synthesis, the oracle.  CI uses it as a
+smoke gate so none of the fast paths can silently desync from the
+reference behaviour.
 
 ``--replay`` additionally runs the decision-op **replay-kernel
 microbenchmark**: one preempting plane per machine (switch-on-miss
@@ -72,6 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.analysis.runtime import RunRecord
 from repro.core.clock import cycle_time_ps
 from repro.core.params import RambusParams
 from repro.core.timer import ScopedTimer, refs_per_second
@@ -170,23 +169,17 @@ def sweep_config(cache_dir: Path) -> ExperimentConfig:
     )
 
 
-def run_sweep(materialized: bool, two_phase: bool = False) -> tuple[float, dict]:
+def run_sweep() -> tuple[float, dict]:
     """One cold-cache serial sweep; returns (wall seconds, mode mix).
 
     A fresh temp cache directory per call keeps the run-record cache,
-    the trace plane and the miss planes cold (the in-process registries
-    key on the cache directory), so every round pays the full cost of
-    its path: synthesis per cell on the legacy path, one synthesis per
-    sweep on the materialized one, one recording per plane group plus
-    near-free replays on the two-phase one.  The mode mix counts
-    ``cell_completed`` events by their ``mode`` field.
+    the trace and the miss planes cold (the in-process registries key
+    on the cache directory), so every round pays one synthesis, one
+    recording per plane group and the replays of its siblings.  The
+    mode mix counts ``cell_completed`` events by their ``mode`` field.
     """
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as tmp:
-        runner = Runner(
-            sweep_config(Path(tmp)),
-            materialize=materialized,
-            two_phase=two_phase,
-        )
+        runner = Runner(sweep_config(Path(tmp)))
         with ScopedTimer() as timer:
             for label in SWEEP_LABELS:
                 runner.grid(label)
@@ -197,22 +190,13 @@ def run_sweep(materialized: bool, two_phase: bool = False) -> tuple[float, dict]
 
 def measure_sweep(rounds: int) -> dict:
     cells = len(SWEEP_LABELS) * len(SWEEP_SIZES) * len(SWEEP_RATES)
-    legacy = min(run_sweep(materialized=False)[0] for _ in range(rounds))
-    materialized = min(run_sweep(materialized=True)[0] for _ in range(rounds))
-    two_phase = float("inf")
+    wall = float("inf")
     modes: dict = {}
     for _ in range(rounds):
-        elapsed, mix = run_sweep(materialized=True, two_phase=True)
-        if elapsed < two_phase:
-            two_phase, modes = elapsed, mix
-    speedup = legacy / materialized if materialized else float("inf")
-    two_phase_speedup = materialized / two_phase if two_phase else float("inf")
-    print(
-        f"sweep ({cells} cells, cold cache): legacy {legacy:.3f}s, "
-        f"materialized {materialized:.3f}s ({speedup:.2f}x), "
-        f"two-phase {two_phase:.3f}s ({two_phase_speedup:.2f}x more), "
-        f"modes {modes}"
-    )
+        elapsed, mix = run_sweep()
+        if elapsed < wall:
+            wall, modes = elapsed, mix
+    print(f"sweep ({cells} cells, cold cache): {wall:.3f}s, modes {modes}")
     return {
         "cells": cells,
         "labels": list(SWEEP_LABELS),
@@ -220,11 +204,7 @@ def measure_sweep(rounds: int) -> dict:
         "rates": list(SWEEP_RATES),
         "scale": SWEEP_SCALE,
         "slice_refs": SWEEP_SLICE_REFS,
-        "legacy_wall_s": round(legacy, 4),
-        "materialized_wall_s": round(materialized, 4),
-        "two_phase_wall_s": round(two_phase, 4),
-        "speedup": round(speedup, 3),
-        "two_phase_speedup": round(two_phase_speedup, 3),
+        "wall_s": round(wall, 4),
         "modes": modes,
     }
 
@@ -259,7 +239,9 @@ def measure_replay(rounds: int) -> dict:
             10**9, 1024, switch_on_miss=True
         ),
     }
-    programs = materialize.get_workload(SWEEP_SCALE, 0).programs
+    programs = materialize.get_workload(
+        SWEEP_SCALE, 0, slice_refs=SWEEP_SLICE_REFS
+    ).programs
     report: dict = {
         "cells": len(timings),
         "rates": list(SWEEP_RATES),
@@ -382,18 +364,19 @@ def measure_baseline_src(src: str, rounds: int) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def _check_two_phase(scale: float, seed: int) -> int:
-    """Plain vs plane-recording vs timing-decoupled runs, byte-for-byte.
+def _check_planes(scale: float, seed: int, slice_refs: int) -> int:
+    """Plain vs plane-recording vs group-replayed runs, byte-for-byte.
 
     Records one miss plane per eligible machine -- including the
     preempting switch-on-miss and virtual-L1 machines, whose planes
     carry a decision-op tape -- then asserts that the recording run
-    matches a plain run and that the decoupled replay reproduces the
-    plain simulation's record exactly across issue rates, so the
-    arithmetic is exercised away from the recording cell's clock.
+    matches a plain run and that one :func:`~repro.trace.filter.replay_group`
+    call reproduces the plain simulation's record exactly at every
+    issue rate, so the arithmetic is exercised away from the recording
+    cell's clock.
     """
-    slice_refs = 4_000
-    programs = materialize.get_workload(scale, seed).programs
+    programs = materialize.get_workload(scale, seed, slice_refs=slice_refs).programs
+    rates = (2 * 10**8, 10**9, 4 * 10**9)
     machines = {
         "baseline": lambda rate: baseline_machine(rate, 512),
         "twoway": lambda rate: twoway_machine(rate, 512),
@@ -413,11 +396,12 @@ def _check_two_phase(scale: float, seed: int) -> int:
         recorded = simulate(
             build(10**9), programs, slice_refs=slice_refs, record_plane=recorder
         )
-        plane = recorder.finalize()
-        for rate in (2 * 10**8, 10**9, 4 * 10**9):
-            params = build(rate)
+        replayed = missplane.replay_group(
+            [build(rate) for rate in rates], recorder.finalize()
+        )
+        for rate, decoupled in zip(rates, replayed):
             reference = simulate(
-                params, programs, slice_refs=slice_refs
+                build(rate), programs, slice_refs=slice_refs
             ).stats.as_dict()
             if rate == 10**9 and recorded.stats.as_dict() != reference:
                 print(
@@ -425,29 +409,30 @@ def _check_two_phase(scale: float, seed: int) -> int:
                     "from the plain run"
                 )
                 return 1
-            decoupled = missplane.replay_decoupled(params, plane)
             if decoupled.stats.as_dict() != reference:
                 print(
-                    f"CHECK FAILED: {label} @{rate} Hz timing-decoupled "
-                    "replay diverges from the plain run"
+                    f"CHECK FAILED: {label} @{rate} Hz group replay "
+                    "diverges from the plain run"
                 )
                 return 1
     return 0
 
 
-def _check_mode_mix(scale: float, seed: int) -> int:
-    """No plane-eligible cell may fall back to a full simulation.
+def _check_sweep(scale: float, seed: int, slice_refs: int) -> int:
+    """A cold sweep replays every eligible cell and matches the oracle.
 
     Drives the bench sweep's own labels (all of them plane-eligible,
     including the preempting ``rampage_som`` grid) through a cold
-    two-phase sweep and fails if any cell completed as ``mode=full`` --
-    the regression this gate exists to catch is an eligibility or
-    recording bug silently degrading the sweep to phase-1 everywhere.
+    serial sweep.  It fails if any cell completed as ``mode=full`` --
+    an eligibility or recording bug silently degrading the sweep to
+    full simulation everywhere -- or if any record differs from full
+    simulation over live synthesis, the oracle for the whole engine
+    (materialized trace, recording and group replay).
     """
     with tempfile.TemporaryDirectory(prefix="bench-check-") as tmp:
         config = ExperimentConfig(
             scale=scale,
-            slice_refs=4_000,
+            slice_refs=slice_refs,
             issue_rates=(2 * 10**8, 10**9),
             sizes=(512,),
             seed=seed,
@@ -465,11 +450,30 @@ def _check_mode_mix(scale: float, seed: int) -> int:
                 f"back to mode=full ({', '.join(labels)})"
             )
             return 1
+        for label in SWEEP_LABELS:
+            for params in runner.grid_params(label):
+                oracle = RunRecord.from_result(
+                    label,
+                    params.transfer_unit_bytes,
+                    simulate(
+                        params,
+                        build_workload(scale, seed=seed),
+                        slice_refs=slice_refs,
+                    ),
+                )
+                if runner.record(label, params).as_dict() != oracle.as_dict():
+                    print(
+                        f"CHECK FAILED: {label} @{params.issue_rate_hz} Hz "
+                        "sweep record diverges from full simulation over "
+                        "live synthesis"
+                    )
+                    return 1
         modes = [e["mode"] for e in completions]
         print(
-            "mode mix OK: "
+            "sweep OK: "
             f"{modes.count('recorded')} recorded, "
-            f"{modes.count('replayed')} replayed, 0 full"
+            f"{modes.count('replayed')} replayed, 0 full, all equal to "
+            "the oracle"
         )
     return 0
 
@@ -479,14 +483,16 @@ def check() -> int:
 
     Exit code 1 on any divergence.  Cheap enough for CI (a few seconds):
     the goal is catching a desync between the materialized, vectorized,
-    plane-recording and timing-decoupled paths and the reference
+    plane-recording and group-replay paths and the reference
     behaviour, not measuring speed.
     """
-    scale, seed = 0.00005, 0
+    scale, seed, slice_refs = 0.00005, 0, 4_000
     materialize.clear_registry()
     missplane.clear_registry()
     live = build_workload(scale, seed=seed)
-    plane = materialize.get_workload(scale, seed, cache_dir=None)
+    plane = materialize.get_workload(
+        scale, seed, cache_dir=None, slice_refs=slice_refs
+    )
     for a, b in zip(live, plane.programs):
         for field in ("kinds", "addrs"):
             flat_live = np.concatenate([getattr(c, field) for c in a.chunks()])
@@ -497,32 +503,14 @@ def check() -> int:
                     "live synthesis and materialized replay"
                 )
                 return 1
-    config = ExperimentConfig(
-        scale=scale,
-        slice_refs=4_000,
-        issue_rates=(10**9,),
-        sizes=(128,),
-        seed=seed,
-        cache_dir=None,
-    )
-    machines = {
-        "baseline": baseline_machine(10**9, 512),
-        "rampage_som": rampage_machine(10**9, 1024, switch_on_miss=True),
-    }
-    for label, params in machines.items():
-        legacy = Runner(config, materialize=False).record(label, params)
-        replay = Runner(config).record(label, params)
-        if legacy.as_dict() != replay.as_dict():
-            print(f"CHECK FAILED: {label} records diverge between paths")
-            return 1
-    if _check_two_phase(scale, seed):
+    if _check_planes(scale, seed, slice_refs):
         return 1
-    if _check_mode_mix(scale, seed):
+    if _check_sweep(scale, seed, slice_refs):
         return 1
     print(
         f"check OK: {plane.total_refs} refs replay byte-identical; "
-        f"records match on {', '.join(machines)}; recording runs and "
-        "decoupled replays match the plain runs"
+        "recording runs and group replays match the plain runs; sweep "
+        "records match full simulation over live synthesis"
     )
     return 0
 
@@ -619,17 +607,16 @@ def run(args: argparse.Namespace) -> int:
         snapshot["replay_kernel"] = replay
     if args.baseline_src:
         baseline = measure_baseline_src(args.baseline_src, args.sweep_rounds)
-        two_phase = snapshot["sweep"]["two_phase_wall_s"]
         baseline["label"] = args.baseline_label or args.baseline_src
         baseline["wall_s"] = round(baseline["wall_s"], 4)
         baseline["cpu_s"] = round(baseline["cpu_s"], 4)
-        baseline["speedup_vs_two_phase"] = round(
-            baseline["wall_s"] / two_phase, 3
+        baseline["speedup"] = round(
+            baseline["wall_s"] / snapshot["sweep"]["wall_s"], 3
         )
         snapshot["sweep"]["baseline"] = baseline
         print(
             f"baseline [{baseline['label']}]: {baseline['wall_s']:.3f}s, "
-            f"two-phase speedup {baseline['speedup_vs_two_phase']:.2f}x"
+            f"speedup {baseline['speedup']:.2f}x"
         )
     snapshots.append(snapshot)
     data["snapshots"] = snapshots

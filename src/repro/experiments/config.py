@@ -64,6 +64,9 @@ class ExperimentConfig:
             )
         if not self.issue_rates or not self.sizes:
             raise ConfigurationError("issue_rates and sizes must be non-empty")
+        if self.seed < 0:
+            # Workload synthesis seeds numpy, which refuses negative entropy.
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         # The clock's own rule, so a job is refused when submitted rather
         # than failing when run: a rate must divide 10^12 ps.
         for rate in self.issue_rates:

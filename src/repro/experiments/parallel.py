@@ -9,17 +9,19 @@ that dispatches the *pending* cells -- cache misses only -- to a
 :class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Determinism is preserved because every simulation is seeded: a worker
-re-derives the workload from ``(scale, seed)`` and the machine from its
-:class:`~repro.core.params.MachineParams`, so a record computed in a
-subprocess is bit-identical to one computed in-process (a test asserts
-byte equality of the cached JSON).
+resolves the workload through the same
+:func:`~repro.trace.materialize.get_workload` call as every other
+process (attaching the parent's committed trace artifact by mmap) and
+rebuilds the machine from its :class:`~repro.core.params.MachineParams`,
+so a record computed in a subprocess is bit-identical to one computed
+in-process (a test asserts byte equality of the cached JSON).
 
-The sweep is two-phase aware (:mod:`repro.trace.filter`): pending cells
-that share a structural geometry are grouped by miss-plane key, one
-representative per group is dispatched to the pool with recording on
-(the worker commits the plane artifact alongside its record), and the
-remaining cells of the group never reach the pool at all -- the parent
-replays them as pure timing arithmetic after the pool drains.
+Pending cells that share a structural geometry are grouped by
+miss-plane key (:mod:`repro.trace.filter`): one representative per
+group is dispatched to the pool with recording on (the worker commits
+the plane artifact alongside its record), and the remaining cells of
+the group never reach the pool at all -- the parent replays them as
+pure timing arithmetic after the pool drains.
 
 Degradation is graceful by design: ``workers=1`` never builds a pool,
 and any pool-level failure (fork limits, pickling regressions, a
@@ -35,7 +37,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from repro.analysis.runtime import RunRecord
-from repro.core.errors import CacheIntegrityError
 from repro.core.params import MachineParams
 from repro.core.timer import ScopedTimer, refs_per_second
 from repro.experiments.config import ExperimentConfig
@@ -45,11 +46,10 @@ from repro.trace.filter import (
     PlaneRecorder,
     commit_plane,
     get_plane,
+    plane_eligible,
     plane_key,
-    select_replay_mode,
 )
-from repro.trace.materialize import attach_workload, get_workload
-from repro.trace.synthetic import build_workload
+from repro.trace.materialize import get_workload
 
 #: Progress callback: (cells done, cells total, record just completed).
 ProgressFn = Callable[[int, int, RunRecord], None]
@@ -65,11 +65,7 @@ class CellSpec:
     """One pending grid cell, as shipped to a worker process.
 
     Carries everything a worker needs to reproduce the cell from
-    scratch; nothing else crosses the process boundary.  When the
-    parent has materialized the workload (``trace_dir``), the worker
-    attaches to the shared on-disk artifact by mmap instead of
-    re-running trace synthesis -- only the *path* crosses the process
-    boundary, never the arrays.
+    scratch; nothing else crosses the process boundary.
     """
 
     label: str
@@ -77,28 +73,11 @@ class CellSpec:
     scale: float
     slice_refs: int
     seed: int
-    trace_dir: str | None = None
+    #: Cache directory holding the trace artifact and receiving a
+    #: recorded plane (``None`` when caching is off).
+    cache_dir: str | None = None
     #: Miss-plane key to record while simulating (group representative).
     plane_key: str | None = None
-    #: Cache directory receiving the recorded plane artifact.
-    cache_dir: str | None = None
-
-
-def _cell_workload(spec: CellSpec) -> list:
-    """Resolve a cell's workload, preferring the shared trace artifact.
-
-    Attaching is memoized per process, so a pool worker that simulates
-    many cells pays one mmap attach, zero syntheses.  An invalid or
-    vanished artifact degrades to live synthesis -- the streams are
-    byte-identical, so the record is unaffected; the parent's own
-    attach path is responsible for quarantining.
-    """
-    if spec.trace_dir is not None:
-        try:
-            return attach_workload(spec.trace_dir, slice_refs=spec.slice_refs)
-        except CacheIntegrityError:
-            pass
-    return build_workload(spec.scale, seed=spec.seed)
 
 
 def _simulate_cell(spec: CellSpec) -> dict:
@@ -107,11 +86,18 @@ def _simulate_cell(spec: CellSpec) -> dict:
     Returns ``RunRecord.as_dict()`` rather than the record itself so the
     parent commits it through the same ``from_dict``/``as_dict``
     round-trip the disk cache uses -- byte-identical JSON either way.
-    A spec carrying a ``plane_key`` is its plane group's representative:
-    the run records the group's miss plane and commits the artifact so
-    the parent (and sibling cells) can replay instead of simulate.
+    The workload is memoized per process, so a worker that simulates
+    many cells attaches the trace artifact once.  A spec carrying a
+    ``plane_key`` is its plane group's representative: the run records
+    the group's miss plane and commits the artifact so the parent (and
+    sibling cells) can replay instead of simulate.
     """
-    programs = _cell_workload(spec)
+    programs = get_workload(
+        spec.scale,
+        spec.seed,
+        cache_dir=spec.cache_dir,
+        slice_refs=spec.slice_refs,
+    ).programs
     recorder = None
     if spec.plane_key is not None:
         recorder = PlaneRecorder(spec.plane_key)
@@ -163,13 +149,9 @@ class ParallelRunner(Runner):
         config: ExperimentConfig | None = None,
         workers: int | None = None,
         progress: ProgressFn | None = None,
-        materialize: bool = True,
-        two_phase: bool = True,
         events=None,
     ) -> None:
-        super().__init__(
-            config, events=events, materialize=materialize, two_phase=two_phase
-        )
+        super().__init__(config, events=events)
         if workers is None:
             self.workers = default_workers()
         else:
@@ -183,28 +165,6 @@ class ParallelRunner(Runner):
     # Pending-cell enumeration
     # ------------------------------------------------------------------
 
-    def _trace_artifact(self) -> str | None:
-        """Materialize the sweep's workload; returns its artifact path.
-
-        Called before cells are dispatched so the artifact exists on
-        disk by the time any worker starts -- workers then attach by
-        mmap instead of each re-running synthesis.  ``None`` when
-        materialization is off or there is no cache directory to hold
-        the artifact (workers fall back to per-process synthesis).
-        """
-        if not self.materialize or self.config.cache_dir is None:
-            return None
-        plane = get_workload(
-            self.config.scale,
-            self.config.seed,
-            cache_dir=self.config.cache_dir,
-            events=self.events,
-            slice_refs=self.config.slice_refs,
-        )
-        if self._programs is None:
-            self._programs = plane.programs
-        return str(plane.path) if plane.path is not None else None
-
     def _cell_spec(self, label: str, params: MachineParams) -> CellSpec:
         config = self.config
         return CellSpec(
@@ -213,31 +173,21 @@ class ParallelRunner(Runner):
             scale=config.scale,
             slice_refs=config.slice_refs,
             seed=config.seed,
-            trace_dir=self._trace_artifact(),
+            cache_dir=str(config.cache_dir) if config.cache_dir is not None else None,
         )
 
     def pending_cells(self, labels: Sequence[str]) -> list[CellSpec]:
-        """Grid cells of ``labels`` not yet in either cache layer.
-
-        De-duplicates by cache key, so a machine shared between two
-        labels' grids is only simulated once.
-        """
-        pending: list[CellSpec] = []
-        seen: set[str] = set()
-        for label in labels:
-            for params in self.grid_params(label):
-                key = self._cache_key(params)
-                if key in seen or self._lookup(key) is not None:
-                    continue
-                seen.add(key)
-                pending.append(self._cell_spec(label, params))
-        return pending
+        """Grid cells of ``labels`` not yet in either cache layer."""
+        return [
+            self._cell_spec(label, params)
+            for label, params in self._pending_grid_cells(list(labels))
+        ]
 
     # ------------------------------------------------------------------
     # Prefetch
     # ------------------------------------------------------------------
 
-    def _plan_two_phase(
+    def _plan_pool(
         self, pending: list[CellSpec]
     ) -> tuple[list[CellSpec], list[CellSpec]]:
         """Split pending cells into pool work and parent-side replays.
@@ -247,39 +197,28 @@ class ParallelRunner(Runner):
         (recording the plane), and the rest are deferred -- the parent
         re-prices whole groups via :meth:`Runner._replay_cells` once the
         plane artifacts exist.  Groups whose plane is already on disk
-        defer every cell.  Mode selection is
-        :func:`~repro.trace.filter.select_replay_mode` with
-        ``require_cache=True``: the plane must cross the process
-        boundary as an on-disk artifact, so without a cache directory
-        (and for ineligible machines) cells ship to the pool unchanged.
+        defer every cell.  The plane must cross the process boundary as
+        an on-disk artifact, so without a cache directory (and for
+        machines that are not :func:`~repro.trace.filter.plane_eligible`)
+        cells ship to the pool unchanged.
         """
-        cache_dir = self.config.cache_dir
+        config = self.config
         pool_specs: list[CellSpec] = []
         deferred: list[CellSpec] = []
         represented: set[str] = set()
-        config = self.config
         for spec in pending:
-            mode = select_replay_mode(
-                spec.params,
-                two_phase=self.two_phase,
-                materialize=self.materialize,
-                cache_dir=cache_dir,
-                require_cache=True,
-            )
-            if mode != "plane":
+            if config.cache_dir is None or not plane_eligible(spec.params):
                 pool_specs.append(spec)
                 continue
             pkey = plane_key(spec.params, config.scale, config.seed, config.slice_refs)
             if pkey in represented:
                 deferred.append(spec)
-            elif get_plane(pkey, cache_dir=cache_dir, events=self.events) is not None:
+            elif get_plane(pkey, cache_dir=config.cache_dir, events=self.events) is not None:
                 represented.add(pkey)
                 deferred.append(spec)
             else:
                 represented.add(pkey)
-                pool_specs.append(
-                    replace(spec, plane_key=pkey, cache_dir=str(cache_dir))
-                )
+                pool_specs.append(replace(spec, plane_key=pkey))
         return pool_specs, deferred
 
     def prefetch(self, labels: Sequence[str]) -> int:
@@ -291,7 +230,7 @@ class ParallelRunner(Runner):
         already reported through the progress callback) are skipped in
         the fallback, so neither the work nor the callback repeats and
         ``done`` counts stay monotonic over one shared ``total``.
-        Two-phase planning keeps plane-sharing cells out of the pool
+        Plane-group planning keeps plane-sharing cells out of the pool
         entirely; the serial tail re-prices them group-by-group from
         the representatives' recorded planes, one vectorized
         :func:`~repro.trace.filter.replay_group` call per geometry
@@ -304,7 +243,7 @@ class ParallelRunner(Runner):
             return 0
         total = len(pending)
         done = 0
-        pool_specs, deferred = self._plan_two_phase(pending)
+        pool_specs, deferred = self._plan_pool(pending)
         self.events.emit(
             "sweep_started",
             labels=list(labels),
@@ -316,6 +255,10 @@ class ParallelRunner(Runner):
         with ScopedTimer() as timer:
             serial = pending
             if self.workers > 1 and len(pool_specs) > 1:
+                if self.config.cache_dir is not None:
+                    # Commit the trace artifact before any worker starts,
+                    # so workers attach it instead of each synthesizing.
+                    self._workload()
                 try:
                     self._prefetch_pool(pool_specs, total)
                     serial = deferred
@@ -360,7 +303,7 @@ class ParallelRunner(Runner):
                 payload, wall_s = future.result()
                 record = RunRecord.from_dict(payload)
                 # A cell the pool computed was by definition a miss;
-                # the serial path counts these inside record().
+                # the serial path counts these in _finish_cell().
                 self.cache_stats.misses += 1
                 self._store(self._cache_key(spec.params), record)
                 self.events.emit(

@@ -64,19 +64,18 @@ from repro.systems.factory import (
 )
 from repro.systems.simulator import simulate
 from repro.trace.filter import (
+    MissPlane,
     PlaneRecorder,
     PlaneReplayError,
     commit_plane,
     discard_plane,
     get_plane,
+    plane_eligible,
     plane_key,
     registry_stats,
-    replay_decoupled,
     replay_group,
-    select_replay_mode,
 )
 from repro.trace.materialize import WORKLOAD_VERSION, get_workload
-from repro.trace.synthetic import build_workload
 
 #: Cache-file envelope schema, bumped when the envelope layout changes.
 CACHE_SCHEMA = "rampage-cache/1"
@@ -227,14 +226,10 @@ class Runner:
         self,
         config: ExperimentConfig | None = None,
         events: EventLog | None = None,
-        materialize: bool = True,
-        two_phase: bool = True,
     ) -> None:
         self.config = config if config is not None else ExperimentConfig.from_env()
         self.events = events if events is not None else EventLog(self.config.event_log)
         self.cache_stats = CacheStats()
-        self.materialize = materialize
-        self.two_phase = two_phase
         self._memory: dict[str, RunRecord] = {}
         self._grids: dict[str, RunGrid] = {}
         self._programs: list | None = None
@@ -242,17 +237,11 @@ class Runner:
     def _workload(self) -> list:
         """The workload every cell of this runner simulates.
 
-        With materialization on (the default) the reference stream is
-        synthesized once per ``(scale, seed)`` per process -- all grid
-        cells, grids and runners share one
+        The reference stream is synthesized once per ``(scale, seed)``
+        per process -- all grid cells, grids and runners share one
         :class:`~repro.trace.materialize.MaterializedWorkload`, backed
-        by an on-disk mmap artifact when caching is enabled.  With it
-        off, every call re-runs live synthesis (the pre-plane
-        behaviour, kept for benchmarking the difference); both paths
-        produce byte-identical reference streams and records.
+        by an on-disk mmap artifact when caching is enabled.
         """
-        if not self.materialize:
-            return build_workload(self.config.scale, seed=self.config.seed)
         if self._programs is None:
             self._programs = get_workload(
                 self.config.scale,
@@ -351,7 +340,8 @@ class Runner:
         The cache key deliberately excludes ``label`` (two grids that
         share a machine share the cell), so a hit computed under a
         different grid is relabelled on read -- the returned record
-        always carries the label the caller asked for.
+        always carries the label the caller asked for.  A miss is a
+        one-cell sweep through :meth:`_replay_cells`.
         """
         key = self._cache_key(params)
         cached = self._lookup(key)
@@ -359,75 +349,12 @@ class Runner:
             if cached.label != label:
                 cached = replace(cached, label=label)
             return cached
-        self.cache_stats.misses += 1
-        self.events.emit(
-            "cell_started",
-            key=key,
-            label=label,
-            kind=params.kind,
-            issue_rate_hz=params.issue_rate_hz,
-            size_bytes=params.transfer_unit_bytes,
-        )
-        mode = "full"
-        with ScopedTimer() as timer:
-            result = None
-            cell_mode = select_replay_mode(
-                params, two_phase=self.two_phase, materialize=self.materialize
-            )
-            if cell_mode == "plane":
-                result, mode = self._run_two_phase(params)
-            if result is None:
-                programs = self._workload()
-                result = simulate(params, programs, slice_refs=self.config.slice_refs)
-        record = RunRecord.from_result(label, params.transfer_unit_bytes, result)
-        self._store(key, record)
-        self.events.emit(
-            "cell_completed",
-            key=key,
-            label=label,
-            mode=mode,
-            wall_s=round(timer.elapsed, 6),
-            refs_per_s=round(refs_per_second(record.workload_refs, timer.elapsed), 1),
-        )
-        return record
-
-    def _run_two_phase(self, params: MachineParams):
-        """Run one plane-eligible cell through the two-phase engine.
-
-        Returns ``(result, mode)``: a timing-decoupled replay when the
-        cell's geometry already has a miss plane (``"replayed"``), else
-        a full simulation that records one for its siblings
-        (``"recorded"``).  A plane that trips a replay invariant is
-        quarantined and the cell re-records -- never a crash.
-        """
-        config = self.config
-        pkey = plane_key(params, config.scale, config.seed, config.slice_refs)
-        plane = get_plane(pkey, cache_dir=config.cache_dir, events=self.events)
-        if plane is not None:
-            try:
-                return replay_decoupled(params, plane), "replayed"
-            except PlaneReplayError as error:
-                discard_plane(
-                    plane,
-                    cache_dir=config.cache_dir,
-                    events=self.events,
-                    reason=str(error),
-                )
-        recorder = PlaneRecorder(pkey)
-        programs = self._workload()
-        result = simulate(
-            params,
-            programs,
-            slice_refs=config.slice_refs,
-            record_plane=recorder,
-        )
-        commit_plane(
-            recorder.finalize(), cache_dir=config.cache_dir, events=self.events
-        )
-        return result, "recorded"
+        computed: list[RunRecord] = []
+        self._replay_cells([(label, params)], on_record=computed.append)
+        return computed[0]
 
     # ------------------------------------------------------------------
-    # Whole-group re-pricing
+    # Computing missing cells
     # ------------------------------------------------------------------
 
     def _pending_grid_cells(
@@ -454,43 +381,28 @@ class Runner:
         cells: list[tuple[str, MachineParams]],
         on_record: Callable[[RunRecord], None] | None = None,
     ) -> None:
-        """Compute ``cells``, re-pricing whole plane groups in one pass.
+        """Compute the cache-missing ``cells``, whole plane groups at a time.
 
-        Cells whose mode is ``"plane"`` are grouped by miss-plane key;
-        each group's first cell runs through :meth:`record` (recording
-        the plane when it is not already committed) and every remaining
-        sibling is priced by one vectorized :func:`replay_group` call
-        -- the batched :class:`~repro.trace.replay_kernel.ReplayKernel`
-        for preempting planes, a shared idle-channel price table
-        otherwise -- instead of a per-cell replay; the plane itself is
-        served from the LRU-by-bytes in-process registry, so repeated
-        groups skip the artifact re-load and re-validation.  Cells
-        whose mode is ``"full"`` run through :meth:`record` unchanged.
-        ``on_record`` fires once per finished cell, in completion
-        order.
+        Plane-eligible cells are grouped by miss-plane key and each
+        group goes through :meth:`_replay_plane_group`; every other
+        cell is one full simulation.  ``on_record`` fires once per
+        finished cell, in completion order.
         """
+        config = self.config
         groups: dict[str | None, list[tuple[str, MachineParams, str]]] = {}
         for label, params in cells:
-            pkey: str | None = None
-            mode = select_replay_mode(
-                params, two_phase=self.two_phase, materialize=self.materialize
-            )
-            if mode == "plane":
-                config = self.config
-                pkey = plane_key(
-                    params, config.scale, config.seed, config.slice_refs
-                )
+            pkey = None
+            if plane_eligible(params):
+                pkey = plane_key(params, config.scale, config.seed, config.slice_refs)
             groups.setdefault(pkey, []).append(
                 (label, params, self._cache_key(params))
             )
         for pkey, members in groups.items():
             if pkey is None:
-                for label, params, _key in members:
-                    record = self.record(label, params)
-                    if on_record is not None:
-                        on_record(record)
-                continue
-            self._replay_plane_group(pkey, members, on_record)
+                for member in members:
+                    self._simulate(member, None, on_record)
+            else:
+                self._replay_plane_group(pkey, members, on_record)
 
     def _replay_plane_group(
         self,
@@ -498,20 +410,26 @@ class Runner:
         members: list[tuple[str, MachineParams, str]],
         on_record: Callable[[RunRecord], None] | None,
     ) -> None:
-        """Price one plane group: record at most one cell, replay the rest."""
+        """Price one plane group: record at most one cell, replay the rest.
+
+        The group's plane comes from the LRU-by-bytes in-process
+        registry or the disk cache.  Without one, the first member runs
+        the full simulation that records it, and the plane it just
+        committed prices the siblings.  They are priced together by one
+        vectorized :func:`replay_group` call -- the batched
+        :class:`~repro.trace.replay_kernel.ReplayKernel` for preempting
+        planes, a shared idle-channel price table otherwise.  A plane
+        that trips a replay invariant is quarantined and the next member
+        records a fresh one -- never a crash.
+        """
         cache_dir = self.config.cache_dir
         plane = get_plane(pkey, cache_dir=cache_dir, events=self.events)
         remaining = members
-        if plane is None:
-            label, params, _key = members[0]
-            record = self.record(label, params)
-            if on_record is not None:
-                on_record(record)
-            remaining = members[1:]
-            plane = get_plane(pkey, cache_dir=cache_dir, events=self.events)
-        if not remaining:
-            return
-        if plane is not None:
+        while remaining:
+            if plane is None:
+                plane = self._simulate(remaining[0], pkey, on_record)
+                remaining = remaining[1:]
+                continue
             try:
                 with ScopedTimer() as timer:
                     results = replay_group(
@@ -524,33 +442,75 @@ class Runner:
                     events=self.events,
                     reason=str(error),
                 )
-            else:
-                wall = timer.elapsed / len(remaining)
-                for (label, params, key), result in zip(remaining, results):
-                    self.cache_stats.misses += 1
-                    record = RunRecord.from_result(
-                        label, params.transfer_unit_bytes, result
-                    )
-                    self._store(key, record)
-                    self.events.emit(
-                        "cell_completed",
-                        key=key,
-                        label=label,
-                        mode="replayed",
-                        wall_s=round(wall, 6),
-                        refs_per_s=round(
-                            refs_per_second(record.workload_refs, wall), 1
-                        ),
-                    )
-                    if on_record is not None:
-                        on_record(record)
-                return
-        # Plane unavailable (recording path skipped it) or invalid
-        # (quarantined above): fall back to per-cell computation.
-        for label, params, _key in remaining:
-            record = self.record(label, params)
-            if on_record is not None:
-                on_record(record)
+                plane = None
+                continue
+            wall = timer.elapsed / len(remaining)
+            for member, result in zip(remaining, results):
+                self._finish_cell(member, result, "replayed", wall, on_record)
+            return
+
+    def _simulate(
+        self,
+        member: tuple[str, MachineParams, str],
+        pkey: str | None,
+        on_record: Callable[[RunRecord], None] | None,
+    ) -> MissPlane | None:
+        """Fully simulate one cell; returns the plane it recorded, if any.
+
+        With a ``pkey`` the run records its group's miss plane and
+        commits it; without one it is an ordinary simulation.
+        """
+        label, params, key = member
+        self.events.emit(
+            "cell_started",
+            key=key,
+            label=label,
+            kind=params.kind,
+            issue_rate_hz=params.issue_rate_hz,
+            size_bytes=params.transfer_unit_bytes,
+        )
+        recorder = PlaneRecorder(pkey) if pkey is not None else None
+        plane = None
+        with ScopedTimer() as timer:
+            result = simulate(
+                params,
+                self._workload(),
+                slice_refs=self.config.slice_refs,
+                record_plane=recorder,
+            )
+            if recorder is not None:
+                plane = commit_plane(
+                    recorder.finalize(),
+                    cache_dir=self.config.cache_dir,
+                    events=self.events,
+                )
+        mode = "full" if recorder is None else "recorded"
+        self._finish_cell(member, result, mode, timer.elapsed, on_record)
+        return plane
+
+    def _finish_cell(
+        self,
+        member: tuple[str, MachineParams, str],
+        result,
+        mode: str,
+        wall: float,
+        on_record: Callable[[RunRecord], None] | None,
+    ) -> None:
+        """Store one computed cell's record and report its completion."""
+        label, params, key = member
+        self.cache_stats.misses += 1
+        record = RunRecord.from_result(label, params.transfer_unit_bytes, result)
+        self._store(key, record)
+        self.events.emit(
+            "cell_completed",
+            key=key,
+            label=label,
+            mode=mode,
+            wall_s=round(wall, 6),
+            refs_per_s=round(refs_per_second(record.workload_refs, wall), 1),
+        )
+        if on_record is not None:
+            on_record(record)
 
     def prefetch(self, labels: list[str] | tuple[str, ...]) -> int:
         """Fill the cache for ``labels``; returns how many cells ran.

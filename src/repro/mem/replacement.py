@@ -151,3 +151,7 @@ class StandbyList:
 
     def contains(self, vpn: int) -> bool:
         return vpn in self._entries
+
+    def frame_of(self, vpn: int) -> int | None:
+        """The frame a parked ``vpn`` still occupies, or None."""
+        return self._entries.get(vpn)

@@ -11,6 +11,7 @@ raising.
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -27,12 +28,13 @@ from repro.trace import materialize
 #: Artifact layouts living under the cache directory, beyond the
 #: ``<key>.json`` records: (kind, subdirectory resolver, validator,
 #: manifest reader).  The reader is the cheap check that tells a stale
-#: layout (:class:`StaleArtifactError`) from a live one.
+#: layout (:class:`StaleArtifactError`) from a live one.  A trace
+#: validates the same bytes whatever slice length chunks its replay.
 ARTIFACT_LAYOUTS: tuple[tuple[str, Callable, Callable, Callable], ...] = (
     (
         "trace",
         materialize.trace_root,
-        materialize.load_artifact,
+        partial(materialize.load_artifact, slice_refs=materialize.DEFAULT_CHUNK),
         materialize.read_manifest,
     ),
     ("plane", missplane.plane_root, missplane.load_plane, missplane.read_manifest),

@@ -48,7 +48,7 @@ from repro.service.jobs import (
     PlannedCell,
     plan_cells,
 )
-from repro.trace.filter import plane_key, registry_stats, select_replay_mode
+from repro.trace.filter import plane_eligible, plane_key, registry_stats
 
 #: Default seconds a worker sleeps when it finds nothing claimable.
 DEFAULT_POLL_S = 0.05
@@ -84,18 +84,16 @@ def plan_groups(spec: JobSpec, base: ExperimentConfig) -> list[WorkGroup]:
     group to one worker preserves the record-one-replay-the-rest
     economics of :meth:`Runner._replay_cells` (splitting a group across
     workers would re-record the plane N times for nothing).  Everything
-    else becomes a single-cell group.  Derived purely from the
-    journalled spec, so recovery and every peer replan identically.
+    else becomes a single-cell group, and so does every cell when there
+    is no cache directory to share planes through.  Derived purely from
+    the journalled spec, so recovery and every peer replan identically.
     """
     cells = plan_cells(spec, base)
     config = spec.experiment_config(base)
     buckets: dict[str, list[PlannedCell]] = {}
     order: list[str] = []
     for cell in cells:
-        mode = select_replay_mode(
-            cell.params, cache_dir=config.cache_dir, require_cache=True
-        )
-        if mode == "plane":
+        if config.cache_dir is not None and plane_eligible(cell.params):
             bucket = "plane:" + plane_key(
                 cell.params, config.scale, config.seed, config.slice_refs
             )

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -97,6 +98,31 @@ def _listed(value, name: str) -> list | tuple:
     return value
 
 
+def integral(value, name: str) -> int:
+    """``value`` as an exact integer, else a ValueError naming the field.
+
+    Integers, integral finite floats (``1e9``) and strings spelling
+    either pass; booleans, fractions, infinities and NaN do not.
+    """
+    if isinstance(value, str):
+        try:
+            return int(value.strip())
+        except ValueError:
+            value = float(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; a boolean is not a number here."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """The sweep a job runs: grid labels plus workload knobs."""
@@ -143,19 +169,21 @@ class JobSpec:
             ]
             return cls(
                 labels=tuple(labels),
-                scale=float(payload.get("scale", base.scale)),
-                slice_refs=int(payload.get("slice_refs", base.slice_refs)),
+                scale=_real(payload.get("scale", base.scale), "scale"),
+                slice_refs=integral(
+                    payload.get("slice_refs", base.slice_refs), "slice_refs"
+                ),
                 issue_rates=tuple(
-                    int(rate)
+                    integral(rate, "rates")
                     for rate in _listed(payload.get("rates", base.issue_rates), "rates")
                 ),
                 sizes=tuple(
-                    int(size)
+                    integral(size, "sizes")
                     for size in _listed(payload.get("sizes", base.sizes), "sizes")
                 ),
-                seed=int(payload.get("seed", base.seed)),
+                seed=integral(payload.get("seed", base.seed), "seed"),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"malformed job spec: {exc}") from exc
 
     def experiment_config(self, base: ExperimentConfig) -> ExperimentConfig:

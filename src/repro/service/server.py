@@ -66,7 +66,7 @@ from repro.reports import (
     export_report,
     report_names,
 )
-from repro.service.jobs import Job, JobSpec, JobStore, plan_cells
+from repro.service.jobs import Job, JobSpec, JobStore, integral, plan_cells
 from repro.service.scheduler import BackpressureError, SweepScheduler
 
 DEFAULT_HOST = "127.0.0.1"
@@ -132,21 +132,21 @@ def _report_config(base: ExperimentConfig, query: dict[str, str]) -> ExperimentC
     """Apply a report request's workload-knob query params over ``base``.
 
     The same knobs a job spec carries; values accept scientific
-    notation (``rates=2e8``) because that is how humans type 200 MHz.
-    Raises ``ValueError``/``ConfigurationError`` on malformed values --
-    the route maps both to a 400.
+    notation (``rates=2e8``) because that is how humans type 200 MHz,
+    but must be integral where the job spec needs an integer.  Raises
+    ``ValueError``/``ConfigurationError`` on malformed values -- the
+    route maps both to a 400.
     """
     overrides: dict = {}
     if "scale" in query:
         overrides["scale"] = float(query["scale"])
-    if "slice_refs" in query:
-        overrides["slice_refs"] = int(float(query["slice_refs"]))
-    if "seed" in query:
-        overrides["seed"] = int(float(query["seed"]))
+    for name in ("slice_refs", "seed"):
+        if name in query:
+            overrides[name] = integral(query[name], name)
     for name in ("rates", "sizes"):
         if name in query:
             values = tuple(
-                int(float(token))
+                integral(token, name)
                 for token in query[name].split(",")
                 if token.strip()
             )
@@ -439,7 +439,7 @@ class SweepService:
     async def _submit(self, body: bytes, writer: asyncio.StreamWriter) -> None:
         try:
             payload = json.loads(body.decode("utf-8")) if body else {}
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             await self._respond(writer, 400, {"error": f"bad JSON body: {exc}"})
             return
         loop = asyncio.get_running_loop()
@@ -531,6 +531,13 @@ class SweepService:
         ``?min_complete=`` turns an under-populated report into a 409
         carrying the completeness payload instead of a render.
         """
+        if name not in report_names():
+            await self._respond(
+                writer,
+                404,
+                {"error": f"unknown report {name!r}; known: {report_names()}"},
+            )
+            return
         fmt = query.get("format", "json")
         if fmt not in CONTENT_TYPES:
             await self._respond(
@@ -542,6 +549,8 @@ class SweepService:
         try:
             config = _report_config(self.config, query)
             min_complete = float(query.get("min_complete", "0") or "0")
+            if not math.isfinite(min_complete):
+                raise ValueError(f"min_complete must be finite, got {min_complete}")
         except (ValueError, ConfigurationError) as exc:
             await self._respond(writer, 400, {"error": str(exc)})
             return
@@ -551,8 +560,8 @@ class SweepService:
             report = await loop.run_in_executor(
                 None, functools.partial(build_report, name, config)
             )
-        except ConfigurationError as exc:
-            await self._respond(writer, 404, {"error": str(exc)})
+        except ConfigurationError as exc:  # a grid no machine can be built for
+            await self._respond(writer, 400, {"error": str(exc)})
             return
         if report.completeness < min_complete:
             await self._respond(

@@ -142,13 +142,16 @@ class VirtualL1RampageSystem(RampageSystem):
             self.sram.mark_dirty(frame)
             return
         # The line's physical tag: resolved via the page table, off the
-        # critical path (no handler software charged).
+        # critical path (no handler software charged).  A page parked on
+        # the standby list is unmapped but keeps its frame and its lines.
         gvpn = victim_vblock >> self._blocks_per_page_bits
         frame, _ = self.sram.translate(gvpn)
         if frame == FREE:
-            raise ConfigurationError(
-                "virtual L1 line outlived its SRAM page; flush logic broken"
-            )
+            frame = self.sram.standby.frame_of(gvpn)
+            if frame is None:
+                raise ConfigurationError(
+                    "virtual L1 line outlived its SRAM page; flush logic broken"
+                )
         self.sram.mark_dirty(frame)
 
     def _fault_flush(self, outcome: FaultOutcome) -> bool:

@@ -7,7 +7,7 @@ reference stream.  This module records, once per *structural* machine
 geometry, that front-end's **miss plane** -- the stream of DRAM
 interactions the levels above DRAM let through, plus the run's timing
 snapshot -- and re-prices every other cell sharing the geometry from it
-by arithmetic alone (:func:`replay_decoupled`, :func:`replay_group`).
+by arithmetic alone (:func:`replay_group`).
 As in one-pass multi-level filtering, the plane keeps only the stream
 its consumer reads: the replay never looks above the DRAM channel.
 
@@ -160,7 +160,7 @@ _ARRAY_SPECS = (
 #: SimStats counters that are structural (identical across a plane
 #: group) and therefore recorded verbatim; the timing-dependent fields
 #: -- ``level_times`` and the derived ``total_time_ps`` -- are
-#: recomputed per cell by :func:`replay_decoupled`.
+#: recomputed per cell by :func:`replay_group`.
 _STRUCTURAL_STATS = (
     "ifetches",
     "reads",
@@ -219,33 +219,6 @@ def plane_eligible(params: MachineParams) -> bool:
         and params.l1.icache.ways == 1
         and params.l1.dcache.ways == 1
     )
-
-
-def select_replay_mode(
-    params: MachineParams,
-    *,
-    two_phase: bool = True,
-    materialize: bool = True,
-    cache_dir: object | None = None,
-    require_cache: bool = False,
-) -> str:
-    """Decide how one sweep cell should run: ``"plane"`` or ``"full"``.
-
-    The single mode-selection policy shared by the serial
-    :class:`~repro.experiments.runner.Runner`, the
-    :class:`~repro.experiments.parallel.ParallelRunner` planner and the
-    service scheduler, so eligibility cannot drift between paths.
-    ``"plane"`` means the two-phase engine applies (replay the cell from
-    its group's miss plane, recording one first when absent); ``"full"``
-    means an ordinary unfiltered simulation.  ``require_cache`` is set
-    by planners that must ship the plane across a process boundary as an
-    on-disk artifact: without a ``cache_dir`` those cells run full.
-    """
-    if not two_phase or not materialize or not plane_eligible(params):
-        return "full"
-    if require_cache and cache_dir is None:
-        return "full"
-    return "plane"
 
 
 def structural_params(params: MachineParams) -> MachineParams:
@@ -307,7 +280,7 @@ class MissPlane:
     (empty for non-preempting machines).  ``cycle_ps`` and ``stats``
     snapshot the recording run's clock and final counters, and
     ``structure`` is the recording machine's :func:`structure_digest`,
-    all read by :func:`replay_decoupled`.
+    all read by :func:`replay_group`.
     """
 
     def __init__(
@@ -1143,7 +1116,7 @@ def _reprice_cell(
     return SimulationResult(params=params, stats=stats)
 
 
-def _tape_price_table(dram: RambusParams, values) -> np.ndarray:
+def _idle_price_table(dram: RambusParams, values) -> np.ndarray:
     """Per-distinct-size idle-channel prices for a queue-free tape.
 
     One array call over the tape's few distinct transfer sizes --
@@ -1154,54 +1127,20 @@ def _tape_price_table(dram: RambusParams, values) -> np.ndarray:
     return rambus_transfer_ps_array(dram, np.asarray(values, dtype=np.int64))
 
 
-def _tape_price(params: MachineParams, plane: MissPlane) -> int:
-    """Price a queue-free tape: each distinct size once, idle channel."""
-    values, counts = plane.tape_counts()
-    if not values:
-        return 0
-    return int(_tape_price_table(params.dram, values) @ counts)
-
-
-def replay_decoupled(params: MachineParams, plane: MissPlane):
-    """Reprice a plane's recorded run under ``params``'s timing.
+def replay_group(params_list, plane: MissPlane) -> list:
+    """Reprice a plane's recorded run under each cell's timing, in one pass.
 
     Pure arithmetic -- no workload, no machine state: rescale the
-    recorded per-level cycle counts to ``params``'s clock and re-price
-    the recorded DRAM interactions under ``params``'s Rambus timing
-    (see the module docstring for why this is exact).  Non-preempting
-    planes price their synchronous tape on an idle channel; preempting
-    planes price the decision-op tape through the plane's memoized
-    vectorized :class:`~repro.trace.replay_kernel.ReplayKernel`
-    (byte-identical to the scalar :func:`_replay_timeline` oracle),
-    re-deriving ``dram_stall_ps`` and ``dram_overlap_ps`` for this
-    cell.  Returns the byte-identical
-    :class:`~repro.systems.base.SimulationResult` the full simulation
-    would produce, provided ``params`` shares the plane's structural
-    key.  Raises :class:`PlaneReplayError` when the snapshot breaks a
-    decoupling invariant or the plane was recorded for a structurally
-    different machine, so the caller can quarantine and recompute.
-    """
-    _check_cell(params, plane)
-    recorded, level_times, rec_cycle = _validate_snapshot(plane)
-    if len(plane.dops):
-        cell_cycle = cycle_time_ps(params.issue_rate_hz)
-        dram_ps, stall, overlap = plane.kernel().price(
-            params.dram, cell_cycle
-        )
-    else:
-        dram_ps, stall, overlap = _tape_price(params, plane), 0, 0
-    return _reprice_cell(
-        params, plane, recorded, level_times, rec_cycle, dram_ps, stall, overlap
-    )
-
-
-def replay_group(params_list, plane: MissPlane) -> list:
-    """Reprice every sibling cell of one plane group in one pass.
-
-    The whole-group warm path: the snapshot is validated once, the tape
-    is priced for all cells together, and each cell's record is
-    assembled exactly as :func:`replay_decoupled` would -- the results
-    are byte-identical to calling it per cell (tests enforce this).
+    recorded per-level cycle counts to each cell's clock and re-price
+    the recorded DRAM interactions under its Rambus timing (see the
+    module docstring for why this is exact).  The snapshot is validated
+    once and the tape is priced for all cells together; a single cell
+    is ``replay_group([params], plane)[0]``.  Returns, per cell, the
+    byte-identical :class:`~repro.systems.base.SimulationResult` the
+    full simulation would produce.  Raises :class:`PlaneReplayError`
+    when the snapshot breaks a decoupling invariant or any cell is
+    structurally different from the recording, so the caller can
+    quarantine and recompute.
 
     Non-preempting planes vectorize completely: one idle-channel price
     table per *distinct* Rambus timing (a handful of distinct transfer
@@ -1243,7 +1182,7 @@ def replay_group(params_list, plane: MissPlane) -> list:
         for params in params_list:
             table = tables.get(params.dram)
             if table is None:
-                table = tables[params.dram] = _tape_price_table(
+                table = tables[params.dram] = _idle_price_table(
                     params.dram, values
                 )
             dram_vec.append(int(table @ counts))

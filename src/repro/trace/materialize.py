@@ -19,18 +19,14 @@ the workload exactly once per ``(scale, seed, WORKLOAD_VERSION)`` key:
   :class:`~repro.trace.record.ChunkRuns`) are shared across every cell
   of a sweep instead of being rebuilt per cell.
 
-Replay is byte-identical to live synthesis: same reference content, so
+Replay carries the same reference content as live synthesis, so
 simulated results, run-record cache keys and cached JSON bytes do not
-change (``tests/test_materialize.py`` pins this against the legacy
-path).  Two replay chunkings exist, both semantically equivalent
-(chunk boundaries carry no meaning -- ``tests/test_determinism.py``):
-
-* default -- mirror the generator's ``GEN_BLOCK`` slicing exactly, so
-  chunk streams match live synthesis object-for-object;
-* ``slice_refs``-aligned -- cut chunks at the interleaver's time-slice
-  boundaries so the scheduler never splits a shared chunk and its
-  per-geometry run pre-translations survive intact across every grid
-  cell (the runners use this mode).
+change (``tests/test_materialize.py`` pins the content, and the sweep
+tests compare records against full simulation over live synthesis).
+Replay chunks are cut at the interleaver's time-slice boundaries
+(``slice_refs``), so the scheduler never splits a shared chunk and its
+per-geometry run pre-translations survive intact across every grid
+cell; chunk boundaries carry no meaning (``tests/test_determinism.py``).
 
 Artifact layout (one directory per key under ``<cache_dir>/traces/``)::
 
@@ -47,10 +43,12 @@ winner's.  A directory that fails validation is renamed to
 quarantine policy (``docs/cache.md``).
 
 Sharing is process-local and not thread-safe: one in-process registry
-(:func:`get_workload`, :func:`attach_workload`) hands the same
-:class:`MaterializedWorkload` to every runner and grid cell, and worker
-processes attach to the on-disk artifact by path (mmap) instead of
-re-running synthesis.
+(:func:`get_workload`) hands the same :class:`MaterializedWorkload` to
+every runner and grid cell.  Every process -- serial runners, pool
+workers and fabric workers alike -- resolves its trace through
+:func:`get_workload` over the same cache directory, so a worker
+attaches the committed artifact by mmap instead of re-running
+synthesis.
 """
 
 from __future__ import annotations
@@ -108,28 +106,7 @@ def workload_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 
 
-def _chunk_bounds(total_refs: int, chunk_refs: int) -> list[tuple[int, int]]:
-    """Chunk boundaries matching :meth:`SyntheticProgram.chunks` exactly.
-
-    The generator emits in ``GEN_BLOCK``-sized synthesis blocks and
-    slices each block at ``min(chunk_refs, GEN_BLOCK)``; replay must
-    mirror that (not just slice the flat array at ``chunk_refs``) so
-    chunk streams are identical object-for-object, not merely in
-    flattened content.
-    """
-    gen_block = SyntheticProgram.GEN_BLOCK
-    out_limit = min(chunk_refs, gen_block)
-    bounds: list[tuple[int, int]] = []
-    pos = 0
-    while pos < total_refs:
-        take = min(total_refs - pos, gen_block)
-        for start in range(0, take, out_limit):
-            bounds.append((pos + start, pos + min(start + out_limit, take)))
-        pos += take
-    return bounds
-
-
-def _chunk_bounds_aligned(
+def _slice_spans(
     total_refs: int, slice_refs: int, cap: int
 ) -> list[tuple[int, int]]:
     """Chunk boundaries aligned to the interleaver's time slices.
@@ -176,8 +153,8 @@ class MaterializedProgram:
         seed: int,
         kinds: np.ndarray,
         addrs: np.ndarray,
+        slice_refs: int,
         chunk_refs: int = DEFAULT_CHUNK,
-        slice_refs: int | None = None,
     ) -> None:
         if len(kinds) != len(addrs):
             raise CacheIntegrityError(
@@ -190,10 +167,7 @@ class MaterializedProgram:
         self.total_refs = len(kinds)
         self.chunk_refs = chunk_refs
         self.slice_refs = slice_refs
-        if slice_refs is None:
-            bounds = _chunk_bounds(self.total_refs, chunk_refs)
-        else:
-            bounds = _chunk_bounds_aligned(self.total_refs, slice_refs, chunk_refs)
+        bounds = _slice_spans(self.total_refs, slice_refs, chunk_refs)
         self._chunks = [
             TraceChunk(pid=pid, kinds=kinds[lo:hi], addrs=addrs[lo:hi])
             for lo, hi in bounds
@@ -256,8 +230,8 @@ def _programs_from_arrays(
     segments: list[tuple[ProgramSpec, int, int, int, int]],
     kinds: np.ndarray,
     addrs: np.ndarray,
+    slice_refs: int,
     chunk_refs: int,
-    slice_refs: int | None = None,
 ) -> list[MaterializedProgram]:
     """Wrap flat workload arrays as per-program replay cursors."""
     return [
@@ -267,8 +241,8 @@ def _programs_from_arrays(
             seed=seed,
             kinds=kinds[start:stop],
             addrs=addrs[start:stop],
-            chunk_refs=chunk_refs,
             slice_refs=slice_refs,
+            chunk_refs=chunk_refs,
         )
         for spec, pid, seed, start, stop in segments
     ]
@@ -395,19 +369,18 @@ def read_manifest(directory: str | Path) -> dict:
 
 def load_artifact(
     directory: str | Path,
+    slice_refs: int,
     chunk_refs: int = DEFAULT_CHUNK,
     programs: tuple[ProgramSpec, ...] = TABLE2_PROGRAMS,
-    mmap: bool = True,
-    slice_refs: int | None = None,
 ) -> list[MaterializedProgram]:
     """Attach to an on-disk artifact; returns its replay programs.
 
     Validation is strict -- manifest layers, array checksums, lengths,
     dtypes, and the program table against the live catalogue -- and any
     failure raises :class:`CacheIntegrityError` so callers can
-    quarantine and regenerate.  Arrays are memory-mapped read-only by
-    default, so attaching costs one manifest read plus a checksum pass,
-    never a synthesis.
+    quarantine and regenerate.  Arrays are memory-mapped read-only, so
+    attaching costs one manifest read plus a checksum pass, never a
+    synthesis.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
@@ -422,7 +395,7 @@ def load_artifact(
         if manifest.get(checksum_field) != _file_checksum(path):
             raise CacheIntegrityError(f"checksum mismatch on {name}")
         try:
-            array = np.load(path, mmap_mode="r" if mmap else None)
+            array = np.load(path, mmap_mode="r")
         except (OSError, ValueError) as exc:
             raise CacheIntegrityError(f"unreadable array file {name}: {exc}") from exc
         if array.dtype != dtype or array.ndim != 1:
@@ -458,7 +431,7 @@ def load_artifact(
         raise CacheIntegrityError(
             f"program table covers {expected_start} of {total} references"
         )
-    return _programs_from_arrays(segments, kinds, addrs, chunk_refs, slice_refs)
+    return _programs_from_arrays(segments, kinds, addrs, slice_refs, chunk_refs)
 
 
 def quarantine_artifact(directory: str | Path) -> Path:
@@ -510,10 +483,11 @@ def get_workload(
     scale: float,
     seed: int,
     cache_dir: str | Path | None = None,
+    *,
+    slice_refs: int,
     chunk_refs: int = DEFAULT_CHUNK,
     programs: tuple[ProgramSpec, ...] = TABLE2_PROGRAMS,
     events=None,
-    slice_refs: int | None = None,
 ) -> MaterializedWorkload:
     """The materialized workload for ``(scale, seed)``, shared in-process.
 
@@ -526,9 +500,9 @@ def get_workload(
        is set, and registered for the rest of the process.
 
     A corrupt artifact is quarantined and regenerated; attach errors
-    never propagate.  ``slice_refs`` selects slice-aligned replay
-    chunking (see :func:`_chunk_bounds_aligned`); it affects only the
-    in-memory chunking, never the on-disk artifact.
+    never propagate.  ``slice_refs`` is the interleaver's time slice:
+    replay chunks are cut at its boundaries (see :func:`_slice_spans`).
+    It shapes only the in-memory chunking, never the on-disk artifact.
     """
     events = events if events is not None else _NullEvents()
     key = workload_key(scale, seed, programs)
@@ -549,9 +523,9 @@ def get_workload(
             try:
                 replay = load_artifact(
                     path,
+                    slice_refs,
                     chunk_refs=chunk_refs,
                     programs=programs,
-                    slice_refs=slice_refs,
                 )
             except CacheIntegrityError as error:
                 quarantined = quarantine_artifact(path)
@@ -582,7 +556,7 @@ def get_workload(
     ]
     kinds = np.concatenate([k for _, k, _ in segments])
     addrs = np.concatenate([a for _, _, a in segments])
-    replay = _programs_from_arrays(table, kinds, addrs, chunk_refs, slice_refs)
+    replay = _programs_from_arrays(table, kinds, addrs, slice_refs, chunk_refs)
     plane = MaterializedWorkload(
         key=key, programs=replay, path=path, synthesized=True
     )
@@ -605,32 +579,3 @@ def _segment_offsets(
         offsets.append((program, start, stop))
         start = stop
     return offsets
-
-
-def attach_workload(
-    path: str | Path,
-    chunk_refs: int = DEFAULT_CHUNK,
-    programs: tuple[ProgramSpec, ...] = TABLE2_PROGRAMS,
-    slice_refs: int | None = None,
-) -> list[MaterializedProgram]:
-    """Attach to an artifact by path, memoized per process.
-
-    This is the worker-side entry point: a sweep worker receives the
-    artifact path in its cell spec and attaches once (mmap); every
-    further cell the same worker simulates reuses the attachment.
-    Raises :class:`CacheIntegrityError` when the artifact is invalid --
-    the caller decides whether to fall back to live synthesis.
-    """
-    registry_key = ("path", str(Path(path)), chunk_refs, slice_refs)
-    plane = _REGISTRY.get(registry_key)
-    if plane is None:
-        replay = load_artifact(
-            path, chunk_refs=chunk_refs, programs=programs, slice_refs=slice_refs
-        )
-        plane = _remember(
-            registry_key,
-            MaterializedWorkload(
-                key=Path(path).name, programs=replay, path=Path(path)
-            ),
-        )
-    return plane.programs

@@ -117,7 +117,7 @@ def digest(stats) -> str:
 
 @pytest.fixture(scope="module")
 def programs():
-    return get_workload(SCALE, 0).programs
+    return get_workload(SCALE, 0, slice_refs=SLICE_REFS).programs
 
 
 @pytest.mark.parametrize("shape", list(SHAPES))

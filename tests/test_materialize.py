@@ -1,10 +1,10 @@
 """Tests for the materialized workload plane.
 
 The contract: replaying a materialized workload is *byte-identical* to
-live synthesis -- same reference content, same chunk boundaries, same
-simulated records and cache bytes -- while synthesis itself runs exactly
-once per ``(scale, seed)`` per process, artifacts survive on disk with
-the run-record cache's integrity discipline, and corrupt artifacts are
+live synthesis -- same reference content, same simulated records and
+cache bytes -- while synthesis itself runs exactly once per
+``(scale, seed)`` per process, artifacts survive on disk with the
+run-record cache's integrity discipline, and corrupt artifacts are
 quarantined and regenerated rather than crashing or poisoning results.
 """
 
@@ -15,11 +15,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.analysis.runtime import RunRecord
 from repro.core.errors import CacheIntegrityError
 from repro.core.observe import EventLog
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import Runner, iter_cache_files
-from repro.systems.simulator import Simulator
+from repro.experiments.runner import Runner, encode_cache_entry, iter_cache_files
+from repro.systems.simulator import Simulator, simulate
 from repro.trace import materialize
 from repro.trace.benchmarks import table2_catalog
 from repro.trace.interleave import InterleavedWorkload
@@ -36,6 +37,7 @@ from repro.trace.synthetic import SyntheticProgram, build_workload
 
 SCALE = 0.0001
 SEED = 0
+SLICE_REFS = 4_000
 
 
 @pytest.fixture(autouse=True)
@@ -45,9 +47,7 @@ def fresh_registry():
     materialize.clear_registry()
 
 
-def materialized_twin(
-    program: SyntheticProgram, chunk_refs=None, slice_refs=None
-) -> MaterializedProgram:
+def materialized_twin(program: SyntheticProgram, slice_refs: int) -> MaterializedProgram:
     """Materialize one live program in memory (no disk, no registry)."""
     kinds = np.concatenate([c.kinds for c in program.chunks()])
     addrs = np.concatenate([c.addrs for c in program.chunks()])
@@ -57,8 +57,8 @@ def materialized_twin(
         seed=program.seed,
         kinds=kinds,
         addrs=addrs,
-        chunk_refs=chunk_refs if chunk_refs is not None else program.chunk_refs,
         slice_refs=slice_refs,
+        chunk_refs=program.chunk_refs,
     )
 
 
@@ -69,11 +69,13 @@ def materialized_twin(
 
 @pytest.mark.parametrize("chunk_refs", [65_536, 8_192, 5_000, 256])
 def test_replay_matches_live_synthesis_chunk_for_chunk(chunk_refs):
-    """Same content AND the same chunk boundaries, including chunk_refs
-    values that do not divide the generator's synthesis block."""
+    """With the generator's synthesis block as the slice, replay cuts
+    the same chunks as live synthesis -- same content AND the same
+    boundaries, including chunk_refs values that do not divide the
+    block."""
     spec = table2_catalog()["sed"]
     live = SyntheticProgram(spec, total_refs=20_000, pid=3, seed=7, chunk_refs=chunk_refs)
-    replay = materialized_twin(live)
+    replay = materialized_twin(live, slice_refs=SyntheticProgram.GEN_BLOCK)
     live_chunks = list(live.chunks())
     replay_chunks = list(replay.chunks())
     assert [len(c) for c in replay_chunks] == [len(c) for c in live_chunks]
@@ -86,7 +88,7 @@ def test_replay_matches_live_synthesis_chunk_for_chunk(chunk_refs):
 def test_replay_is_restartable_and_shares_chunk_objects():
     spec = table2_catalog()["sed"]
     live = SyntheticProgram(spec, total_refs=5_000, pid=0, seed=1)
-    replay = materialized_twin(live)
+    replay = materialized_twin(live, slice_refs=1_000)
     first = list(replay.chunks())
     second = list(replay.chunks())
     assert [id(c) for c in first] == [id(c) for c in second]
@@ -97,7 +99,7 @@ def test_replay_is_restartable_and_shares_chunk_objects():
 
 def test_workload_replay_matches_build_workload():
     live = build_workload(SCALE, seed=SEED)
-    plane = get_workload(SCALE, SEED, cache_dir=None)
+    plane = get_workload(SCALE, SEED, cache_dir=None, slice_refs=SLICE_REFS)
     assert [p.pid for p in plane.programs] == [p.pid for p in live]
     assert [p.spec.name for p in plane.programs] == [p.spec.name for p in live]
     for a, b in zip(live, plane.programs):
@@ -168,11 +170,12 @@ class PreemptingSystem:
         self._preempt_at = sorted(preempt_at)
         self.total = 0
         self.consumed = []
-        self.slice_flags = []
+        self.slice_starts = []
         self.switch_pids = []
 
     def run_chunk(self, chunk):
-        self.slice_flags.append(chunk.new_slice)
+        if chunk.new_slice:
+            self.slice_starts.append(self.total)
         kinds = chunk.kinds_list
         addrs = chunk.addrs_list
         for idx in range(len(kinds)):
@@ -192,11 +195,12 @@ class PreemptingSystem:
 
 @pytest.mark.parametrize("preempt_at", [(), (100, 300, 777)])
 def test_interleaved_replay_identical_through_preemption(preempt_at):
-    """The driver-visible stream -- consumption order, new_slice flags,
-    switch points, push_back/tail replays -- is identical whether the
-    programs are live generators or materialized replays."""
+    """The driver-visible stream -- consumption order, the references at
+    which new_slice flags open a slice, switch points, push_back/tail
+    replays -- is identical whether the programs are live generators or
+    materialized replays (whose chunks are cut at other boundaries)."""
     outcomes = []
-    for builder in (lambda p: p, lambda p: materialized_twin(p)):
+    for builder in (lambda p: p, lambda p: materialized_twin(p, slice_refs=500)):
         system = PreemptingSystem(preempt_at)
         workload = InterleavedWorkload(scheduling_programs(builder), slice_refs=500)
         sim = Simulator(system, workload)
@@ -204,7 +208,7 @@ def test_interleaved_replay_identical_through_preemption(preempt_at):
         outcomes.append(
             (
                 system.consumed,
-                system.slice_flags,
+                system.slice_starts,
                 system.switch_pids,
                 sim.preemptions,
             )
@@ -216,7 +220,7 @@ def test_preempted_tail_of_shared_chunk_replays_cleanly():
     """Preemption pushes a tail of a *shared* chunk back; replaying the
     workload afterwards must still see every reference (push_back state
     is per-stream, never leaks into the shared chunk list)."""
-    programs = scheduling_programs(materialized_twin)
+    programs = scheduling_programs(lambda p: materialized_twin(p, slice_refs=500))
     system = PreemptingSystem((50,))
     Simulator(system, InterleavedWorkload(programs, slice_refs=500)).run()
     expected = {
@@ -244,21 +248,21 @@ def test_preempted_tail_of_shared_chunk_replays_cleanly():
 
 def test_registry_shares_one_materialization():
     before = materialize.synthesis_count
-    first = get_workload(SCALE, SEED, cache_dir=None)
-    second = get_workload(SCALE, SEED, cache_dir=None)
+    first = get_workload(SCALE, SEED, cache_dir=None, slice_refs=SLICE_REFS)
+    second = get_workload(SCALE, SEED, cache_dir=None, slice_refs=SLICE_REFS)
     assert second is first
     assert materialize.synthesis_count == before + 1
 
 
 def test_artifact_round_trip_through_disk(tmp_path):
     before = materialize.synthesis_count
-    plane = get_workload(SCALE, SEED, cache_dir=tmp_path)
+    plane = get_workload(SCALE, SEED, cache_dir=tmp_path, slice_refs=SLICE_REFS)
     assert plane.synthesized
     assert plane.path is not None and plane.path.exists()
     assert materialize.synthesis_count == before + 1
 
     materialize.clear_registry()
-    attached = get_workload(SCALE, SEED, cache_dir=tmp_path)
+    attached = get_workload(SCALE, SEED, cache_dir=tmp_path, slice_refs=SLICE_REFS)
     assert not attached.synthesized
     assert materialize.synthesis_count == before + 1  # attach, not resynthesize
     for a, b in zip(plane.programs, attached.programs):
@@ -270,9 +274,9 @@ def test_artifact_round_trip_through_disk(tmp_path):
 
 
 def test_attached_arrays_are_memmapped(tmp_path):
-    get_workload(SCALE, SEED, cache_dir=tmp_path)
+    get_workload(SCALE, SEED, cache_dir=tmp_path, slice_refs=SLICE_REFS)
     materialize.clear_registry()
-    attached = get_workload(SCALE, SEED, cache_dir=tmp_path)
+    attached = get_workload(SCALE, SEED, cache_dir=tmp_path, slice_refs=SLICE_REFS)
     chunk = next(iter(attached.programs[0].chunks()))
     base = chunk.addrs
     while isinstance(getattr(base, "base", None), np.ndarray):
@@ -281,7 +285,7 @@ def test_attached_arrays_are_memmapped(tmp_path):
 
 
 def test_manifest_contents(tmp_path):
-    plane = get_workload(SCALE, SEED, cache_dir=tmp_path)
+    plane = get_workload(SCALE, SEED, cache_dir=tmp_path, slice_refs=SLICE_REFS)
     manifest = json.loads((plane.path / MANIFEST_NAME).read_text("utf-8"))
     assert manifest["schema"] == materialize.TRACE_SCHEMA
     assert manifest["workload_version"] == materialize.WORKLOAD_VERSION
@@ -327,16 +331,18 @@ def damage_missing_kinds(path: Path) -> None:
     ],
 )
 def test_corrupt_artifact_quarantined_and_regenerated(tmp_path, damage):
-    plane = get_workload(SCALE, SEED, cache_dir=tmp_path)
+    plane = get_workload(SCALE, SEED, cache_dir=tmp_path, slice_refs=SLICE_REFS)
     artifact = plane.path
     damage(artifact)
     with pytest.raises(CacheIntegrityError):
-        load_artifact(artifact)
+        load_artifact(artifact, SLICE_REFS)
 
     materialize.clear_registry()
     events = EventLog()
     before = materialize.synthesis_count
-    regenerated = get_workload(SCALE, SEED, cache_dir=tmp_path, events=events)
+    regenerated = get_workload(
+        SCALE, SEED, cache_dir=tmp_path, events=events, slice_refs=SLICE_REFS
+    )
     assert regenerated.synthesized
     assert materialize.synthesis_count == before + 1
     quarantined = [e for e in events.events if e["event"] == "trace_quarantined"]
@@ -344,7 +350,7 @@ def test_corrupt_artifact_quarantined_and_regenerated(tmp_path, damage):
     assert Path(quarantined[0]["path"]).name.endswith(materialize.QUARANTINE_SUFFIX)
     assert Path(quarantined[0]["path"]).exists()
     # The regenerated artifact is valid and replay-identical.
-    replay = load_artifact(regenerated.path)
+    replay = load_artifact(regenerated.path, SLICE_REFS)
     live = build_workload(SCALE, seed=SEED)
     for a, b in zip(live, replay):
         assert np.array_equal(
@@ -354,22 +360,22 @@ def test_corrupt_artifact_quarantined_and_regenerated(tmp_path, damage):
 
 
 def test_checksum_damage_detected(tmp_path):
-    plane = get_workload(SCALE, SEED, cache_dir=tmp_path)
+    plane = get_workload(SCALE, SEED, cache_dir=tmp_path, slice_refs=SLICE_REFS)
     target = plane.path / KINDS_NAME
     blob = bytearray(target.read_bytes())
     blob[-1] ^= 0xFF  # flip one payload bit, size unchanged
     target.write_bytes(bytes(blob))
     with pytest.raises(CacheIntegrityError, match="checksum"):
-        load_artifact(plane.path)
+        load_artifact(plane.path, SLICE_REFS)
 
 
 def test_load_rejects_foreign_program_table(tmp_path):
-    plane = get_workload(SCALE, SEED, cache_dir=tmp_path)
+    plane = get_workload(SCALE, SEED, cache_dir=tmp_path, slice_refs=SLICE_REFS)
     manifest = json.loads((plane.path / MANIFEST_NAME).read_text("utf-8"))
     manifest["programs"][0]["name"] = "not-a-table2-program"
     (plane.path / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(CacheIntegrityError):
-        load_artifact(plane.path)
+        load_artifact(plane.path, SLICE_REFS)
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +386,7 @@ def test_load_rejects_foreign_program_table(tmp_path):
 def runner_config(cache_dir):
     return ExperimentConfig(
         scale=SCALE,
-        slice_refs=4_000,
+        slice_refs=SLICE_REFS,
         issue_rates=(10**9,),
         sizes=(128, 1024),
         seed=0,
@@ -389,18 +395,21 @@ def runner_config(cache_dir):
 
 
 def test_materialized_runner_cache_bytes_identical_to_legacy(tmp_path):
-    legacy = Runner(runner_config(tmp_path / "legacy"), materialize=False)
-    legacy_grid = legacy.grid("rampage")
-    plane_runner = Runner(runner_config(tmp_path / "plane"))
-    plane_grid = plane_runner.grid("rampage")
-    for rate in legacy.config.issue_rates:
-        for size in legacy.config.sizes:
-            assert plane_grid.cell(rate, size) == legacy_grid.cell(rate, size)
-    legacy_files = sorted(iter_cache_files(tmp_path / "legacy"))
-    plane_files = sorted(iter_cache_files(tmp_path / "plane"))
-    assert [p.name for p in legacy_files] == [p.name for p in plane_files]
-    for a, b in zip(legacy_files, plane_files):
-        assert a.read_bytes() == b.read_bytes()
+    """Every record the runner commits over the materialized trace is
+    byte-identical to the legacy path: full simulation over live
+    synthesis."""
+    runner = Runner(runner_config(tmp_path))
+    runner.grid("rampage")
+    files = {path.stem: path for path in iter_cache_files(tmp_path)}
+    assert len(files) == len(runner.grid_params("rampage"))
+    for params in runner.grid_params("rampage"):
+        oracle = RunRecord.from_result(
+            "rampage",
+            params.transfer_unit_bytes,
+            simulate(params, build_workload(SCALE, seed=SEED), slice_refs=SLICE_REFS),
+        )
+        blob = files[runner._cache_key(params)].read_text("utf-8")
+        assert blob == encode_cache_entry(oracle)
 
 
 def test_runner_synthesizes_once_across_grids(tmp_path):

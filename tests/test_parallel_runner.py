@@ -8,7 +8,6 @@ broken.
 """
 
 import os
-from pathlib import Path
 
 import pytest
 
@@ -151,28 +150,28 @@ def test_partial_pool_failure_never_double_fires_progress(tmp_path, monkeypatch)
 
 
 def test_cell_specs_carry_the_shared_trace_artifact(tmp_path):
+    """Workers find the parent's trace artifact through the cache
+    directory every spec carries, not through a path of their own."""
     par = ParallelRunner(config(tmp_path), workers=1)
     pending = par.pending_cells(LABELS)
-    paths = {spec.trace_dir for spec in pending}
-    assert len(paths) == 1
-    (artifact,) = paths
-    assert artifact is not None
-    assert Path(artifact).is_dir()
-    assert Path(artifact).parent == tmp_path / materialize.TRACE_DIRNAME
+    assert {spec.cache_dir for spec in pending} == {str(tmp_path)}
+    par._workload()
+    (artifact,) = (tmp_path / materialize.TRACE_DIRNAME).iterdir()
+    assert artifact.is_dir()
 
 
 def test_worker_attaches_artifact_without_synthesis(tmp_path, monkeypatch):
-    """The warm path: a worker handed an artifact path must never call
-    build_workload -- the whole point of the materialized plane."""
+    """The warm path: a worker whose cache directory holds the trace
+    artifact must never call build_workload -- the whole point of the
+    materialized plane."""
     par = ParallelRunner(config(tmp_path), workers=1)
     spec = par.pending_cells(("baseline",))[0]
-    assert spec.trace_dir is not None
+    par._workload()  # the parent commits the artifact before dispatch
     materialize.clear_registry()  # simulate a fresh worker process
 
     def no_synthesis(*args, **kwargs):
         raise AssertionError("worker ran trace synthesis on the warm path")
 
-    monkeypatch.setattr(parallel_mod, "build_workload", no_synthesis)
     monkeypatch.setattr(materialize, "build_workload", no_synthesis)
     payload = _simulate_cell(spec)
     assert payload["label"] == "baseline"
@@ -182,28 +181,52 @@ def test_worker_falls_back_to_synthesis_on_bad_artifact(tmp_path):
     par = ParallelRunner(config(tmp_path), workers=1)
     spec = par.pending_cells(("baseline",))[0]
     reference = _simulate_cell(spec)
-    broken = parallel_mod.CellSpec(
-        label=spec.label,
-        params=spec.params,
-        scale=spec.scale,
-        slice_refs=spec.slice_refs,
-        seed=spec.seed,
-        trace_dir=str(tmp_path / "traces" / "no-such-artifact"),
-    )
+    (artifact,) = (tmp_path / materialize.TRACE_DIRNAME).iterdir()
+    (artifact / materialize.KINDS_NAME).write_bytes(b"torn")
     materialize.clear_registry()
-    assert _simulate_cell(broken) == reference
+    assert _simulate_cell(spec) == reference
+    quarantined = [
+        path.name
+        for path in (tmp_path / materialize.TRACE_DIRNAME).iterdir()
+        if materialize.QUARANTINE_SUFFIX in path.name
+    ]
+    assert quarantined == [artifact.name + materialize.QUARANTINE_SUFFIX]
 
 
 def test_without_cache_dir_workers_get_no_artifact():
+    """Without a cache directory no artifact or plane can cross the
+    process boundary: specs carry none and every pending cell -- plane
+    siblings included -- ships to the pool."""
     cfg = ExperimentConfig(
         scale=0.0001,
         slice_refs=4_000,
-        issue_rates=(10**9,),
+        issue_rates=(2 * 10**8, 10**9),
         sizes=(128,),
         cache_dir=None,
     )
     par = ParallelRunner(cfg, workers=1)
-    assert all(spec.trace_dir is None for spec in par.pending_cells(LABELS))
+    pending = par.pending_cells(LABELS)
+    assert all(spec.cache_dir is None for spec in pending)
+    pool_specs, deferred = par._plan_pool(pending)
+    assert pool_specs == pending
+    assert deferred == []
+
+
+def test_pool_plan_records_one_representative_per_plane_group(tmp_path):
+    cfg = ExperimentConfig(
+        scale=0.0001,
+        slice_refs=4_000,
+        issue_rates=(2 * 10**8, 10**9),
+        sizes=(128,),
+        cache_dir=tmp_path,
+    )
+    par = ParallelRunner(cfg, workers=2)
+    pending = par.pending_cells(LABELS)
+    pool_specs, deferred = par._plan_pool(pending)
+    assert [spec.label for spec in pool_specs] == list(LABELS)
+    assert all(spec.plane_key is not None for spec in pool_specs)
+    assert [spec.label for spec in deferred] == list(LABELS)
+    assert len(pool_specs) + len(deferred) == len(pending)
 
 
 def test_worker_timed_wraps_untimed(tmp_path):

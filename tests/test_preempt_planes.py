@@ -6,8 +6,8 @@ sibling cell through a full simulation -- record a *decision-op tape*
 alongside the transfer tape, and the pure-arithmetic decoupled replay
 reproduces the full simulation **byte-for-byte** under any sibling
 issue rate and Rambus timing.  Whole groups re-price in one
-:func:`replay_group` call with identical bytes, and a plane refuses a
-cell of a structurally different machine.  Artifacts round-trip
+:func:`replay_group` call, and a plane refuses a cell of a structurally
+different machine.  Artifacts round-trip
 through disk with the full integrity discipline; artifacts of older
 plane layouts are stale, never read.
 """
@@ -27,7 +27,6 @@ from repro.core.errors import (
 from repro.core.observe import EventLog
 from repro.core.params import RambusParams
 from repro.systems.factory import (
-    aggressive_l1,
     baseline_machine,
     rampage_machine,
     virtual_l1_machine,
@@ -46,9 +45,7 @@ from repro.trace.filter import (
     load_plane,
     plane_eligible,
     plane_key,
-    replay_decoupled,
     replay_group,
-    select_replay_mode,
     write_plane,
 )
 from repro.trace.materialize import WORKLOAD_VERSION, get_workload
@@ -78,7 +75,7 @@ def fresh_registries():
 
 
 def programs():
-    return get_workload(SCALE, SEED, cache_dir=None).programs
+    return get_workload(SCALE, SEED, cache_dir=None, slice_refs=SLICE_REFS).programs
 
 
 def preempting_machines():
@@ -111,7 +108,7 @@ def record_plane(params):
 
 
 # ----------------------------------------------------------------------
-# Eligibility and mode selection
+# Eligibility
 # ----------------------------------------------------------------------
 
 
@@ -120,22 +117,6 @@ def test_preempting_machines_are_plane_eligible():
     assert plane_eligible(virtual_l1_machine(10**9, 1024))
     assert plane_eligible(
         virtual_l1_machine(10**9, 1024, switch_on_miss=True)
-    )
-
-
-def test_select_replay_mode_policy():
-    params = rampage_machine(10**9, 1024, switch_on_miss=True)
-    assert select_replay_mode(params) == "plane"
-    assert select_replay_mode(params, two_phase=False) == "full"
-    assert select_replay_mode(params, materialize=False) == "full"
-    assert select_replay_mode(params, require_cache=True) == "full"
-    assert (
-        select_replay_mode(params, cache_dir="/tmp/x", require_cache=True)
-        == "plane"
-    )
-    assert (
-        select_replay_mode(baseline_machine(10**9, 512, l1=aggressive_l1()))
-        == "full"
     )
 
 
@@ -150,7 +131,7 @@ def test_select_replay_mode_policy():
     ids=[m[0] for m in preempting_machines()],
 )
 def test_three_way_byte_identity_across_rates_and_dram(label, build):
-    """Full simulation, the plane-recording run and decoupled arithmetic
+    """Full simulation, the plane-recording run and one group replay
     agree byte-for-byte for preempting machines, across issue rates
     *and* Rambus timings (including a pipelined channel, which prices
     queued background transfers differently than the recording did)."""
@@ -164,35 +145,16 @@ def test_three_way_byte_identity_across_rates_and_dram(label, build):
         build(10**9, RambusParams()), programs(), slice_refs=SLICE_REFS
     )
     assert recorded.stats.as_dict() == plain.stats.as_dict()
-    for rate in RATES:
-        for dram in DRAM_TIMINGS:
-            cell = build(rate, dram)
-            expected = simulate(
-                cell, programs(), slice_refs=SLICE_REFS
-            ).stats.as_dict()
-            decoupled = replay_decoupled(cell, plane)
-            assert decoupled.stats.as_dict() == expected
-
-
-@pytest.mark.parametrize(
-    "label,build",
-    preempting_machines(),
-    ids=[m[0] for m in preempting_machines()],
-)
-def test_replay_group_matches_per_cell_decoupled(label, build):
-    _, plane = record_plane(build(10**9, RambusParams()))
     cells = [build(rate, dram) for rate in RATES for dram in DRAM_TIMINGS]
-    grouped = replay_group(cells, plane)
-    for cell, result in zip(cells, grouped):
-        assert (
-            result.stats.as_dict()
-            == replay_decoupled(cell, plane).stats.as_dict()
-        )
+    for cell, decoupled in zip(cells, replay_group(cells, plane)):
+        expected = simulate(cell, programs(), slice_refs=SLICE_REFS)
+        assert decoupled.stats.as_dict() == expected.stats.as_dict()
 
 
 def test_replay_group_matches_per_cell_on_tape_only_planes():
     """The vectorized matrix path (non-preempting planes) is
-    byte-identical to the scalar per-cell pricing."""
+    byte-identical to each cell's own full simulation, across issue
+    rates and Rambus timings."""
     _, plane = record_plane(baseline_machine(10**9, 512))
     assert len(plane.dops) == 0
     cells = [
@@ -202,10 +164,8 @@ def test_replay_group_matches_per_cell_on_tape_only_planes():
     ]
     grouped = replay_group(cells, plane)
     for cell, result in zip(cells, grouped):
-        assert (
-            result.stats.as_dict()
-            == replay_decoupled(cell, plane).stats.as_dict()
-        )
+        expected = simulate(cell, programs(), slice_refs=SLICE_REFS)
+        assert result.stats.as_dict() == expected.stats.as_dict()
 
 
 def test_filtered_replay_rejects_structurally_mismatched_machine():
@@ -222,7 +182,7 @@ def test_filtered_replay_rejects_structurally_mismatched_machine():
     ]
     for cell in mismatched:
         with pytest.raises(PlaneReplayError, match="structurally different"):
-            replay_decoupled(cell, plane)
+            replay_group([cell], plane)
         with pytest.raises(PlaneReplayError, match="structurally different"):
             replay_group([sibling, cell], plane)
     assert replay_group([sibling], plane)[0].stats.switches_on_miss > 0
@@ -242,12 +202,9 @@ def test_v2_plane_round_trips_through_disk(tmp_path):
     assert manifest["dops"] == len(plane.dops)
     attached = load_plane(path)
     assert np.array_equal(attached.dops, plane.dops)
-    for rate in RATES:
-        cell = rampage_machine(rate, 1024, switch_on_miss=True)
-        assert (
-            replay_decoupled(cell, attached).stats.as_dict()
-            == replay_decoupled(cell, plane).stats.as_dict()
-        )
+    cells = [rampage_machine(rate, 1024, switch_on_miss=True) for rate in RATES]
+    for a, b in zip(replay_group(cells, attached), replay_group(cells, plane)):
+        assert a.stats.as_dict() == b.stats.as_dict()
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,9 @@
 
 The contract: phase 1 runs the shared L1/TLB front-end once per
 geometry key and persists a *miss plane*; phase 2 re-prices it with the
-timing-decoupled :func:`replay_decoupled` and produces
-**byte-identical** run records for every cell in the plane group, as
-the full simulation of each cell would.  Plane artifacts carry the
+timing-decoupled :func:`replay_group` and produces **byte-identical**
+run records for every cell in the plane group, as the full simulation
+of each cell would.  Plane artifacts carry the
 run-record cache's integrity discipline: corrupt or diverging planes
 are quarantined with a structured event and the cell re-records,
 never a crash.
@@ -16,12 +16,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.runtime import RunRecord
 from repro.core.errors import CacheIntegrityError
 from repro.core.observe import EventLog
 from repro.core.params import RambusParams
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import ParallelRunner
-from repro.experiments.runner import Runner, iter_cache_files
+from repro.experiments.runner import Runner, encode_cache_entry, iter_cache_files
 from repro.systems.factory import (
     aggressive_l1,
     baseline_machine,
@@ -43,11 +44,12 @@ from repro.trace.filter import (
     load_plane,
     plane_eligible,
     plane_key,
-    replay_decoupled,
+    replay_group,
     structural_params,
     write_plane,
 )
 from repro.trace.materialize import get_workload
+from repro.trace.synthetic import build_workload
 
 SCALE = 0.0002
 SLICE_REFS = 4_000
@@ -65,11 +67,17 @@ def fresh_registries():
 
 
 def programs():
-    return get_workload(SCALE, SEED, cache_dir=None).programs
+    return get_workload(SCALE, SEED, cache_dir=None, slice_refs=SLICE_REFS).programs
 
 
 def run_plain(params):
     return simulate(params, programs(), slice_refs=SLICE_REFS)
+
+
+def oracle_record(label, params):
+    """The record of a full simulation over live synthesis."""
+    result = simulate(params, build_workload(SCALE, seed=SEED), slice_refs=SLICE_REFS)
+    return RunRecord.from_result(label, params.transfer_unit_bytes, result)
 
 
 def record_plane(params):
@@ -185,11 +193,9 @@ def test_replays_match_full_simulation_across_rates(label, build):
     the timing-decoupled replay reproduces each rate's full simulation
     exactly."""
     _, plane = record_plane(build(10**9))
-    for rate in RATES:
-        cell = build(rate)
-        expected = run_plain(cell).stats.as_dict()
-        decoupled = replay_decoupled(cell, plane)
-        assert decoupled.stats.as_dict() == expected
+    cells = [build(rate) for rate in RATES]
+    for cell, decoupled in zip(cells, replay_group(cells, plane)):
+        assert decoupled.stats.as_dict() == run_plain(cell).stats.as_dict()
 
 
 def test_decoupled_replay_reprices_dram_timing():
@@ -200,15 +206,13 @@ def test_decoupled_replay_reprices_dram_timing():
         10**9, 512, dram=RambusParams(access_ps=90_000, ps_per_beat=2_500)
     )
     expected = run_plain(slow).stats.as_dict()
-    assert replay_decoupled(slow, plane).stats.as_dict() == expected
+    assert replay_group([slow], plane)[0].stats.as_dict() == expected
 
 
 def test_decoupled_replay_rejects_ineligible_machines():
     _, plane = record_plane(rampage_machine(10**9, 1024))
     with pytest.raises(PlaneReplayError, match="not plane-eligible"):
-        replay_decoupled(
-            rampage_machine(10**9, 1024, l1=aggressive_l1()), plane
-        )
+        replay_group([rampage_machine(10**9, 1024, l1=aggressive_l1())], plane)
 
 
 # ----------------------------------------------------------------------
@@ -226,12 +230,9 @@ def test_plane_round_trips_through_disk(tmp_path):
     assert attached.cycle_ps == plane.cycle_ps
     assert attached.stats == plane.stats
     assert list(attached.tape) == list(plane.tape)
-    for rate in RATES:
-        cell = baseline_machine(rate, 512)
-        assert (
-            replay_decoupled(cell, attached).stats.as_dict()
-            == replay_decoupled(cell, plane).stats.as_dict()
-        )
+    cells = [baseline_machine(rate, 512) for rate in RATES]
+    for a, b in zip(replay_group(cells, attached), replay_group(cells, plane)):
+        assert a.stats.as_dict() == b.stats.as_dict()
 
 
 def test_committed_plane_holds_only_the_two_tapes(tmp_path):
@@ -286,19 +287,18 @@ def test_tampered_timing_checksum_is_rejected(tmp_path):
 
 def test_runner_two_phase_cache_bytes_identical_to_single_phase(tmp_path):
     """The acceptance criterion end to end: a two-phase sweep leaves
-    byte-identical cache records behind, for conventional and
-    non-switching RAMpage grids, across every rate."""
-    cfg_rates = RATES
-    single = Runner(config(tmp_path / "single", rates=cfg_rates), two_phase=False)
-    two = Runner(config(tmp_path / "two", rates=cfg_rates))
+    cache records byte-identical to single-phase ones -- full simulation
+    over live synthesis -- for conventional and non-switching RAMpage
+    grids, across every rate."""
+    two = Runner(config(tmp_path, rates=RATES))
+    files = {}
     for label in ("baseline", "rampage"):
-        single.grid(label)
         two.grid(label)
-    a = sorted(iter_cache_files(tmp_path / "single"))
-    b = sorted(iter_cache_files(tmp_path / "two"))
-    assert [p.name for p in a] == [p.name for p in b]
-    for pa, pb in zip(a, b):
-        assert pa.read_bytes() == pb.read_bytes()
+        files.update({path.stem: path for path in iter_cache_files(tmp_path)})
+        for params in two.grid_params(label):
+            blob = files[two._cache_key(params)].read_text("utf-8")
+            assert blob == encode_cache_entry(oracle_record(label, params))
+    assert len(files) == 2 * len(RATES) * 2
 
 
 def test_runner_records_once_then_replays_per_geometry(tmp_path):
@@ -336,9 +336,7 @@ def test_runner_survives_invariant_tripping_plane(tmp_path):
     commit_plane(plane, cache_dir=tmp_path)
 
     runner = Runner(config(tmp_path, sizes=(512,)))
-    expected = Runner(
-        config(tmp_path / "ref", sizes=(512,)), two_phase=False
-    ).record("baseline", params)
+    expected = oracle_record("baseline", params)
     record = runner.record("baseline", params)
     assert record == expected
     quarantined = runner.events.of("plane_quarantined")
@@ -349,7 +347,7 @@ def test_runner_survives_invariant_tripping_plane(tmp_path):
     assert [e["mode"] for e in runner.events.of("cell_completed")] == ["recorded"]
     fresh = get_plane(pkey, cache_dir=tmp_path)
     assert fresh is not None
-    assert replay_decoupled(params, fresh).stats.as_dict() == expected.stats
+    assert replay_group([params], fresh)[0].stats.as_dict() == expected.stats
 
 
 def test_parallel_two_phase_matches_serial_with_mode_counts(tmp_path):

@@ -1,15 +1,23 @@
 """Tests for the virtually-indexed-L1 RAMpage variant."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.params import KIB, HandlerCosts, MachineParams, RampageParams
 from repro.mem.inverted_page_table import FREE
-from repro.systems.factory import baseline_machine, rampage_machine
+from repro.systems.factory import (
+    baseline_machine,
+    build_system,
+    rampage_machine,
+    virtual_l1_machine,
+)
 from repro.systems.simulator import Simulator
 from repro.systems.virtual_l1 import OS_PID, VirtualL1RampageSystem
 from repro.trace.interleave import InterleavedWorkload
+from repro.trace.materialize import get_workload
 from repro.trace.record import IFETCH, READ, WRITE
 from repro.trace.synthetic import build_workload
 
@@ -19,9 +27,10 @@ NO_HANDLERS = HandlerCosts(
 )
 
 
-def machine(page=256, base_kib=None, **kw):
+def machine(page=256, base_kib=None, standby=0, **kw):
     rampage = RampageParams(
         page_bytes=page,
+        standby_pages=standby,
         **({"base_bytes": base_kib * KIB, "pinned_code_data_bytes": 2 * KIB,
             "ipt_entry_bytes": 16} if base_kib else {}),
     )
@@ -129,3 +138,43 @@ class TestConsistency:
         system = VirtualL1RampageSystem(params)
         assert system.access(READ, 0) is False
         assert system.access(READ, 0) is True
+
+
+class TestStandbyList:
+    def test_evicting_a_parked_pages_dirty_line_marks_its_frame(self):
+        """A page parked on the standby list keeps its frame and its L1
+        lines; evicting one of its dirty lines marks the parked frame
+        dirty, so discarding the page later writes it back."""
+        system = machine(page=4096, base_kib=32, standby=2)
+        system.access(WRITE, 0)  # a dirty line in L1D set 0
+        gvpn = system.global_vpn(0, 0)
+        # Fault pages 1-5 in, off set 0: the clock hand parks page 0.
+        for page in range(1, 6):
+            system.access(READ, page * 4096 + 64)
+        frame = system.sram.standby.frame_of(gvpn)
+        assert frame is not None
+        assert not system.sram.is_dirty(frame)
+        system.access(READ, 4 * 4096)  # resident page 4 maps to set 0
+        assert system.sram.standby.contains(gvpn)
+        assert system.sram.is_dirty(frame)
+
+    def test_line_of_a_page_neither_mapped_nor_parked_is_an_error(self):
+        system = machine(page=4096)
+        vblock = 5 << system._blocks_per_page_bits  # page 5 never faulted in
+        with pytest.raises(ConfigurationError, match="outlived its SRAM page"):
+            system._l1_writeback_below(vblock)
+
+    def test_small_sram_standby_workload_runs(self):
+        """With a 256 KB SRAM the workload evicts dirty lines of parked
+        pages; the run must finish with every frame accounted for."""
+        params = virtual_l1_machine(standby_pages=8)
+        params = replace(
+            params, rampage=replace(params.rampage, base_bytes=256 * KIB)
+        )
+        system = build_system(params)
+        programs = get_workload(0.00005, 0, slice_refs=4_000).programs
+        workload = InterleavedWorkload(programs, slice_refs=4_000)
+        result = Simulator(system, workload).run()
+        assert result.stats.workload_refs == sum(p.total_refs for p in programs)
+        assert system.sram.standby.discards > 0
+        system.sram.check_invariants()
