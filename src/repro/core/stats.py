@@ -133,14 +133,6 @@ class SimStats:
     def total_time_ps(self) -> int:
         return self.level_times.total
 
-    @property
-    def l1i_references(self) -> int:
-        return self.l1i_hits + self.l1i_misses
-
-    @property
-    def l1d_references(self) -> int:
-        return self.l1d_hits + self.l1d_misses
-
     def miss_rate(self, level: str) -> float:
         """Return the miss rate of ``level`` (``l1i``/``l1d``/``l2``/``tlb``)."""
         pairs = {

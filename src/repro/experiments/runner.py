@@ -63,6 +63,12 @@ from repro.systems.factory import (
     virtual_l1_machine,
 )
 from repro.systems.simulator import simulate
+from repro.trace.artifacts import (
+    QUARANTINE_SUFFIX,
+    WORKLOAD_VERSION,
+    parse_envelope,
+)
+from repro.trace.artifacts import json_checksum as record_checksum
 from repro.trace.filter import (
     MissPlane,
     PlaneRecorder,
@@ -75,13 +81,10 @@ from repro.trace.filter import (
     registry_stats,
     replay_group,
 )
-from repro.trace.materialize import WORKLOAD_VERSION, get_workload
+from repro.trace.materialize import get_workload
 
 #: Cache-file envelope schema, bumped when the envelope layout changes.
 CACHE_SCHEMA = "rampage-cache/1"
-
-#: Suffix appended to a cache file that failed integrity validation.
-QUARANTINE_SUFFIX = ".corrupt"
 
 #: Subdirectory of the cache directory holding the sharded record files.
 SHARD_DIRNAME = "shards"
@@ -107,12 +110,6 @@ GRID_BUILDERS: dict[str, Callable[[int, int], MachineParams]] = {
 # ----------------------------------------------------------------------
 
 
-def record_checksum(payload: dict) -> str:
-    """SHA-256 over the canonical JSON encoding of a record dict."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def encode_cache_entry(record: RunRecord) -> str:
     """Serialise a record into the integrity-checked envelope format."""
     payload = record.as_dict()
@@ -134,25 +131,7 @@ def decode_cache_entry(text: str) -> RunRecord:
     with the payload -- every way a torn write, a stale simulator or a
     tampering editor can corrupt a record.
     """
-    try:
-        envelope = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CacheIntegrityError(f"invalid JSON: {exc}") from exc
-    if not isinstance(envelope, dict):
-        raise CacheIntegrityError(
-            f"expected an envelope object, got {type(envelope).__name__}"
-        )
-    schema = envelope.get("schema")
-    if schema != CACHE_SCHEMA:
-        raise CacheIntegrityError(
-            f"schema mismatch: file has {schema!r}, expected {CACHE_SCHEMA!r}"
-        )
-    version = envelope.get("workload_version")
-    if version != WORKLOAD_VERSION:
-        raise CacheIntegrityError(
-            f"workload version mismatch: file has {version!r}, "
-            f"expected {WORKLOAD_VERSION!r}"
-        )
+    envelope = parse_envelope(text, CACHE_SCHEMA)
     payload = envelope.get("record")
     if not isinstance(payload, dict):
         raise CacheIntegrityError("envelope has no record payload")

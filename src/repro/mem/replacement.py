@@ -51,9 +51,6 @@ class ClockReplacer:
     def unpin(self, frame: int) -> None:
         self._pinned[self._index(frame)] = 0
 
-    def is_pinned(self, frame: int) -> bool:
-        return bool(self._pinned[self._index(frame)])
-
     def touch(self, frame: int) -> None:
         """Set the referenced bit (page was used)."""
         self._referenced[self._index(frame)] = 1

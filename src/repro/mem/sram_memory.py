@@ -102,10 +102,6 @@ class SramMainMemory:
         """Return ``(frame, probes)``; frame is -1 when not resident."""
         return self.ipt.lookup(vpn)
 
-    def is_resident(self, vpn: int) -> bool:
-        frame, _ = self.ipt.lookup(vpn)
-        return frame != FREE
-
     def touch(self, frame: int) -> None:
         """Record a use of ``frame`` for the clock's referenced bit."""
         if frame >= self.pinned_frames:

@@ -24,6 +24,7 @@ from repro.experiments.runner import (
 )
 from repro.trace import filter as missplane
 from repro.trace import materialize
+from repro.trace.artifacts import QUARANTINE_SUFFIX
 
 #: Artifact layouts living under the cache directory, beyond the
 #: ``<key>.json`` records: (kind, subdirectory resolver, validator,
@@ -57,7 +58,7 @@ def artifact_dirs(root: Path) -> tuple[list[Path], list[Path]]:
     for path in sorted(root.iterdir()):
         if not path.is_dir() or path.name.startswith("."):
             continue
-        if missplane.QUARANTINE_SUFFIX in path.name:
+        if QUARANTINE_SUFFIX in path.name:
             quarantined.append(path)
         else:
             live.append(path)

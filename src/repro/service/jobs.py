@@ -65,6 +65,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.observe import EventLog
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import GRID_BUILDERS, Runner
+from repro.trace.benchmarks import TABLE2_PROGRAMS
 
 #: Journal schema tag, embedded in every line for forward compatibility.
 #: v2 adds the ``lease``/``release`` ops; v1 journals replay unchanged.
@@ -89,6 +90,17 @@ ACTIVE_STATES = frozenset({QUEUED, RUNNING})
 
 #: Default grid labels for a submission that names none.
 DEFAULT_LABELS = ("baseline", "rampage")
+
+#: Largest job admitted, in estimated references (:func:`job_refs`).
+#: The paper's 72-cell grid at scale 0.003 needs 236 M and is admitted;
+#: one cell at the paper's full scale (1.0) needs 1.093 G and is
+#: refused, because the daemon would hold gigabytes of trace and run
+#: tables while simulating it.
+MAX_JOB_REFS = 500_000_000
+
+
+class JobTooLargeError(ConfigurationError):
+    """A job's estimated size exceeds :data:`MAX_JOB_REFS` (HTTP 413)."""
 
 
 def _listed(value, name: str) -> list | tuple:
@@ -268,6 +280,14 @@ def plan_cells(spec: JobSpec, base: ExperimentConfig) -> list[PlannedCell]:
                 )
             )
     return cells
+
+
+def job_refs(spec: JobSpec, cells: list[PlannedCell]) -> int:
+    """A job's estimated size: workload references times planned cells."""
+    workload = sum(
+        program.references_at_scale(spec.scale) for program in TABLE2_PROGRAMS
+    )
+    return workload * len(cells)
 
 
 def job_key(spec: JobSpec, cells: list[PlannedCell]) -> str:
@@ -574,8 +594,16 @@ class JobStore:
 
         Returns ``(job, created)``.  An existing queued, running or
         completed job is returned untouched -- idempotent submission.
-        A previously *failed* job is re-journalled and re-queued.
+        A previously *failed* job is re-journalled and re-queued.  A
+        job larger than :data:`MAX_JOB_REFS` raises
+        :class:`JobTooLargeError` and journals nothing.
         """
+        refs = job_refs(spec, cells)
+        if refs > MAX_JOB_REFS:
+            raise JobTooLargeError(
+                f"job too large: about {refs:,} references ({len(cells)} "
+                f"cells at scale {spec.scale}), limit {MAX_JOB_REFS:,}"
+            )
         key = job_key(spec, cells)
         with self._lock:
             existing = self._jobs.get(key)

@@ -26,6 +26,9 @@ Submission semantics:
 * ``200`` -- the job already exists (same cells, same key); its current
   state is returned.  Submitting is always safe to retry.
 * ``429`` + ``Retry-After`` -- the bounded admission queue is full.
+* ``413`` -- the job is too large: its workload references times its
+  cells exceed :data:`~repro.service.jobs.MAX_JOB_REFS`.  Nothing is
+  journalled.
 * ``400`` -- malformed spec (unknown labels, bad numbers).
 
 On ``SIGTERM``/``SIGINT`` the daemon drains gracefully: the listener
@@ -66,7 +69,14 @@ from repro.reports import (
     export_report,
     report_names,
 )
-from repro.service.jobs import Job, JobSpec, JobStore, integral, plan_cells
+from repro.service.jobs import (
+    Job,
+    JobSpec,
+    JobStore,
+    JobTooLargeError,
+    integral,
+    plan_cells,
+)
 from repro.service.scheduler import BackpressureError, SweepScheduler
 
 DEFAULT_HOST = "127.0.0.1"
@@ -87,6 +97,7 @@ _STATUS_TEXT = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Content Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
 }
@@ -453,6 +464,9 @@ class SweepService:
             job, created = await loop.run_in_executor(
                 None, functools.partial(self.scheduler.submit, spec)
             )
+        except JobTooLargeError as exc:
+            await self._respond(writer, 413, {"error": str(exc)})
+            return
         except ConfigurationError as exc:
             await self._respond(writer, 400, {"error": str(exc)})
             return

@@ -100,10 +100,6 @@ class ProgramSpec:
     def ifetch_fraction(self) -> float:
         return self.ifetch_millions / self.total_millions
 
-    @property
-    def data_millions(self) -> float:
-        return self.total_millions - self.ifetch_millions
-
     def references_at_scale(self, scale: float) -> int:
         """Total references this program contributes at a given scale."""
         return max(1, round(self.total_millions * 1e6 * scale))

@@ -86,32 +86,25 @@ reports them as :class:`~repro.core.errors.StaleArtifactError` so
 ``cache verify`` can flag them and ``cache purge --corrupt-only`` can
 drop them.
 
-Commits, validation and quarantine follow the trace plane's envelope
-discipline exactly (:mod:`repro.trace.materialize`, ``docs/cache.md``):
-atomic temp-dir-then-rename commits with benign concurrent races (plane
-bytes are deterministic, so the loser discards its copy), strict
-checksum/schema/shape validation on attach, and
-quarantine-instead-of-crash -- a corrupt or mismatched plane is a cache
-*miss* that falls back to a recording run.
+Commits, validation and quarantine are the artifact store's
+(:mod:`repro.trace.artifacts`, ``docs/cache.md``), shared with the
+materialized trace; this module adds only the cross-check of the
+decision-op tape against the DRAM tape and the timing payload.  A
+corrupt or mismatched plane is a cache *miss* that falls back to a
+recording run.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.clock import cycle_time_ps
-from repro.core.errors import (
-    CacheIntegrityError,
-    SimulationError,
-    StaleArtifactError,
-)
+from repro.core.errors import CacheIntegrityError, SimulationError
+from repro.core.observe import EventLog
 from repro.core.params import MachineParams, RambusParams
 from repro.core.stats import SimStats
 from repro.mem.dram import (
@@ -119,7 +112,10 @@ from repro.mem.dram import (
     rambus_transfer_ps,
     rambus_transfer_ps_array,
 )
-from repro.trace.materialize import WORKLOAD_VERSION, _file_checksum
+from repro.trace import artifacts
+from repro.trace.artifacts import MANIFEST_NAME as MANIFEST_NAME
+from repro.trace.artifacts import QUARANTINE_SUFFIX as QUARANTINE_SUFFIX
+from repro.trace.artifacts import WORKLOAD_VERSION
 from repro.trace.replay_kernel import (
     DOP_BG_FILL,
     DOP_BG_WB,
@@ -137,11 +133,6 @@ STALE_PLANE_SCHEMAS = ("rampage-plane/1", "rampage-plane/2")
 #: Subdirectory of the cache directory holding miss-plane artifacts.
 PLANE_DIRNAME = "planes"
 
-#: Suffix appended to an artifact directory that failed validation.
-QUARANTINE_SUFFIX = ".corrupt"
-
-MANIFEST_NAME = "manifest.json"
-
 # Decision-op kinds (``dops.npy`` column 0) live in
 # :mod:`repro.trace.replay_kernel` (imported above and re-exported here
 # for compatibility).  ``arg`` (column 1) is a byte count for the
@@ -151,8 +142,8 @@ MANIFEST_NAME = "manifest.json"
 #: Canonical issue rate substituted before hashing structural identity.
 _CANONICAL_RATE_HZ = 10**9
 
+#: The arrays of a plane artifact (see :mod:`repro.trace.artifacts`).
 _ARRAY_SPECS = (
-    # name, dtype, columns (0 = one-dimensional)
     ("tape", np.int64, 0),
     ("dops", np.int64, 3),
 )
@@ -512,141 +503,49 @@ def artifact_dir(cache_dir: str | Path, key: str) -> Path:
     return plane_root(cache_dir) / key
 
 
-def _timing_checksum(timing: dict) -> str:
-    """SHA-256 of the canonical JSON form of the timing payload."""
-    blob = json.dumps(timing, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def write_plane(directory: str | Path, plane: MissPlane) -> Path:
     """Atomically commit a plane as an artifact directory.
 
-    Same discipline as the trace plane: staged in a sibling temp
-    directory, fsynced manifest, renamed into place; a lost concurrent
-    race is benign because plane bytes are structurally deterministic,
-    so the loser discards its copy and the winner's is identical.
+    A lost concurrent race is benign because plane bytes are
+    structurally deterministic: the loser keeps the winner's copy.
     """
-    directory = Path(directory)
-    directory.parent.mkdir(parents=True, exist_ok=True)
-    tmp = directory.parent / f".{directory.name}.tmp-{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    tmp.mkdir(parents=True)
-    try:
-        checksums = {}
-        for name, _, _ in _ARRAY_SPECS:
-            filename = f"{name}.npy"
-            np.save(tmp / filename, getattr(plane, name))
-            checksums[filename] = _file_checksum(tmp / filename)
-        timing = {
-            "cycle_ps": int(plane.cycle_ps),
-            "stats": plane.stats,
-            "structure": plane.structure,
-        }
-        manifest = {
+    timing = {
+        "cycle_ps": int(plane.cycle_ps),
+        "stats": plane.stats,
+        "structure": plane.structure,
+    }
+    return artifacts.commit(
+        directory,
+        {name: getattr(plane, name) for name, _, _ in _ARRAY_SPECS},
+        {
             "schema": PLANE_SCHEMA,
-            "workload_version": WORKLOAD_VERSION,
             "key": plane.key,
-            "tape": int(len(plane.tape)),
-            "dops": int(len(plane.dops)),
             "timing": timing,
-            "timing_checksum": _timing_checksum(timing),
-            "checksums": checksums,
-        }
-        with open(tmp / MANIFEST_NAME, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(manifest, indent=2) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        try:
-            os.rename(tmp, directory)
-        except OSError:
-            if not (directory / MANIFEST_NAME).exists():
-                raise
-            shutil.rmtree(tmp, ignore_errors=True)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return directory
+            "timing_checksum": artifacts.json_checksum(timing),
+        },
+    )
 
 
 def read_manifest(directory: str | Path) -> dict:
-    """Validate and return a plane artifact's manifest layers.
-
-    A manifest of an older plane layout raises
-    :class:`~repro.core.errors.StaleArtifactError`: no key can reach it
-    any more, so it is dead weight rather than damage.
-    """
-    path = Path(directory) / MANIFEST_NAME
-    try:
-        manifest = json.loads(path.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CacheIntegrityError(f"unreadable plane manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise CacheIntegrityError("plane manifest is not an object")
-    schema = manifest.get("schema")
-    if schema in STALE_PLANE_SCHEMAS:
-        raise StaleArtifactError(
-            f"stale schema {schema!r}: planes are now {PLANE_SCHEMA!r}"
-        )
-    if schema != PLANE_SCHEMA:
-        raise CacheIntegrityError(
-            f"schema mismatch: artifact has {schema!r}, "
-            f"expected {PLANE_SCHEMA!r}"
-        )
-    if manifest.get("workload_version") != WORKLOAD_VERSION:
-        raise CacheIntegrityError(
-            f"workload version mismatch: artifact has "
-            f"{manifest.get('workload_version')!r}, expected {WORKLOAD_VERSION!r}"
-        )
-    if not isinstance(manifest.get("checksums"), dict):
-        raise CacheIntegrityError("plane manifest has no checksum table")
-    return manifest
+    """A plane artifact's validated manifest (see :mod:`repro.trace.artifacts`)."""
+    return artifacts.read_manifest(directory, PLANE_SCHEMA, STALE_PLANE_SCHEMAS)
 
 
 def load_plane(directory: str | Path, key: str | None = None) -> MissPlane:
     """Attach to an on-disk plane; strict validation, mmap arrays.
 
-    Checks every envelope layer -- manifest, schema and version tags,
-    per-array SHA-256s, dtypes, shapes, the decision-op tape's
-    consistency with the DRAM tape, and the timing payload -- raising
-    :class:`CacheIntegrityError` so callers can quarantine and
-    re-record.
+    The store validates the manifest and the arrays; this checks the
+    decision-op tape's consistency with the DRAM tape and the timing
+    payload, raising :class:`CacheIntegrityError` so callers can
+    quarantine and re-record.
     """
-    directory = Path(directory)
     manifest = read_manifest(directory)
     if key is not None and manifest.get("key") != key:
         raise CacheIntegrityError(
             f"plane key mismatch: artifact has {manifest.get('key')!r}, "
             f"expected {key!r}"
         )
-    checksums = manifest["checksums"]
-    arrays: dict[str, np.ndarray] = {}
-    for name, dtype, columns in _ARRAY_SPECS:
-        filename = f"{name}.npy"
-        path = directory / filename
-        if not path.exists():
-            raise CacheIntegrityError(f"missing plane array {filename}")
-        if checksums.get(filename) != _file_checksum(path):
-            raise CacheIntegrityError(f"checksum mismatch on {filename}")
-        try:
-            array = np.load(path, mmap_mode="r")
-        except (OSError, ValueError) as exc:
-            raise CacheIntegrityError(
-                f"unreadable plane array {filename}: {exc}"
-            ) from exc
-        if array.dtype != dtype:
-            raise CacheIntegrityError(
-                f"{filename}: expected {np.dtype(dtype)}, got {array.dtype}"
-            )
-        expected_ndim = 2 if columns else 1
-        if array.ndim != expected_ndim or (columns and array.shape[1] != columns):
-            raise CacheIntegrityError(
-                f"{filename}: unexpected shape {array.shape}"
-            )
-        if len(array) != manifest.get(name):
-            raise CacheIntegrityError(
-                f"{filename} has {len(array)} rows; manifest says "
-                f"{manifest.get(name)}"
-            )
-        arrays[name] = array
+    arrays = artifacts.load_arrays(directory, manifest, _ARRAY_SPECS)
     tape, dops = arrays["tape"], arrays["dops"]
     if len(dops):
         kinds = dops[:, 0]
@@ -666,7 +565,7 @@ def load_plane(directory: str | Path, key: str | None = None) -> MissPlane:
     timing = manifest.get("timing")
     if not isinstance(timing, dict):
         raise CacheIntegrityError("plane manifest has no timing payload")
-    if manifest.get("timing_checksum") != _timing_checksum(timing):
+    if manifest.get("timing_checksum") != artifacts.json_checksum(timing):
         raise CacheIntegrityError("timing payload checksum mismatch")
     cycle_ps = timing.get("cycle_ps")
     stats = timing.get("stats")
@@ -694,24 +593,8 @@ def load_plane(directory: str | Path, key: str | None = None) -> MissPlane:
         cycle_ps=cycle_ps,
         stats=stats,
         structure=structure,
-        path=directory,
+        path=Path(directory),
     )
-
-
-def quarantine_dir(directory: str | Path) -> Path:
-    """Move a failed plane aside for post-mortem; returns the target."""
-    directory = Path(directory)
-    target = directory.with_name(directory.name + QUARANTINE_SUFFIX)
-    if target.exists():
-        target = directory.with_name(
-            f"{directory.name}{QUARANTINE_SUFFIX}-{os.getpid()}"
-        )
-        shutil.rmtree(target, ignore_errors=True)
-    try:
-        os.rename(directory, target)
-    except OSError:
-        return directory
-    return target
 
 
 # ----------------------------------------------------------------------
@@ -817,11 +700,6 @@ class PlaneRegistry:
 _REGISTRY = PlaneRegistry()
 
 
-class _NullEvents:
-    def emit(self, event: str, **fields: object) -> None:
-        pass
-
-
 def registry_stats() -> dict:
     """The in-process plane registry's counters (manifests, workers)."""
     return _REGISTRY.stats()
@@ -851,26 +729,16 @@ def get_plane(
     ``plane_quarantined`` event -- and reported as a miss, never an
     error.
     """
-    events = events if events is not None else _NullEvents()
+    events = events if events is not None else EventLog(None)
     registry_key = _registry_key(key, cache_dir)
     plane = _REGISTRY.get(registry_key)
-    if plane is not None:
+    if plane is not None or cache_dir is None:
         return plane
-    if cache_dir is None:
-        return None
     path = artifact_dir(cache_dir, key)
-    if not path.exists():
-        return None
-    try:
-        plane = load_plane(path, key=key)
-    except CacheIntegrityError as error:
-        quarantined = quarantine_dir(path)
-        events.emit(
-            "plane_quarantined",
-            key=key,
-            path=str(quarantined),
-            reason=str(error),
-        )
+    plane = artifacts.attach(
+        "plane", key, path, lambda directory: load_plane(directory, key=key), events
+    )
+    if plane is None:
         return None
     events.emit(
         "plane_attached",
@@ -886,7 +754,7 @@ def commit_plane(
     plane: MissPlane, cache_dir: str | Path | None = None, events=None
 ) -> MissPlane:
     """Register a freshly recorded plane, persisting it when caching."""
-    events = events if events is not None else _NullEvents()
+    events = events if events is not None else EventLog(None)
     if cache_dir is not None:
         plane.path = write_plane(artifact_dir(cache_dir, plane.key), plane)
     events.emit(
@@ -907,16 +775,13 @@ def discard_plane(
     Drops every registry entry holding the plane and moves its on-disk
     artifact aside, so the next cell re-records instead of re-tripping.
     """
-    events = events if events is not None else _NullEvents()
     _REGISTRY.forget_plane(plane)
-    destination = None
-    if plane.path is not None and Path(plane.path).exists():
-        destination = str(quarantine_dir(plane.path))
-    events.emit(
-        "plane_quarantined",
-        key=plane.key,
-        path=destination,
-        reason=reason,
+    artifacts.discard(
+        "plane",
+        plane.key,
+        plane.path,
+        reason,
+        events if events is not None else EventLog(None),
     )
 
 

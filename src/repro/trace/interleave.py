@@ -127,9 +127,6 @@ class InterleavedWorkload:
     def current_stream(self) -> ProgramStream:
         return self.streams[self._current]
 
-    def all_exhausted(self) -> bool:
-        return all(stream.exhausted for stream in self.streams)
-
     def _advance_to_runnable(self) -> bool:
         """Move ``_current`` to the next non-exhausted stream.
 

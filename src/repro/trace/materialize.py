@@ -10,9 +10,9 @@ the workload exactly once per ``(scale, seed, WORKLOAD_VERSION)`` key:
 * **synthesis** runs one time and lands in flat ``kinds``/``addrs``
   arrays (one contiguous segment per program),
 * the arrays persist as memmap-able ``.npy`` artifacts under the cache
-  directory, guarded by the run-record cache's envelope discipline --
-  schema + workload-version tag, SHA-256 checksums, atomic directory
-  commit, and quarantine-instead-of-crash on corruption,
+  directory, guarded by the artifact store -- schema + workload-version
+  tag, SHA-256 checksums, atomic directory commit, and
+  quarantine-instead-of-crash on corruption,
 * replay wraps the shared arrays in :class:`MaterializedProgram`\\ s
   whose chunks are numpy *views* into the arrays, pre-built once so the
   per-chunk derived caches (scalar list views, per-geometry
@@ -33,14 +33,13 @@ Artifact layout (one directory per key under ``<cache_dir>/traces/``)::
     traces/<key>/
     ├── kinds.npy       # uint8, all programs concatenated
     ├── addrs.npy       # uint64, parallel to kinds
-    └── manifest.json   # schema, version, checksums, program table
+    └── manifest.json   # schema, version, row counts, checksums, program table
 
-Commits are atomic at the directory level: the artifact is built in a
-temp directory on the same filesystem and ``os.rename``\\ d into place;
-a loser of a concurrent race discards its temp copy and attaches to the
-winner's.  A directory that fails validation is renamed to
-``<key>.corrupt`` and regenerated, mirroring the run-record cache's
-quarantine policy (``docs/cache.md``).
+Commits, validation and quarantine are the artifact store's
+(:mod:`repro.trace.artifacts`); this module adds only the program
+table, which it writes and checks against the live catalogue.  Keys
+hash the schema tag, so a ``rampage-trace/1`` directory is never
+attached: ``cache verify`` reports it stale.
 
 Sharing is process-local and not thread-safe: one in-process registry
 (:func:`get_workload`) hands the same :class:`MaterializedWorkload` to
@@ -54,36 +53,38 @@ synthesis.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.errors import CacheIntegrityError
+from repro.core.observe import EventLog
+from repro.trace import artifacts
+from repro.trace.artifacts import MANIFEST_NAME as MANIFEST_NAME
+from repro.trace.artifacts import QUARANTINE_SUFFIX as QUARANTINE_SUFFIX
+from repro.trace.artifacts import WORKLOAD_VERSION
 from repro.trace.benchmarks import TABLE2_PROGRAMS, ProgramSpec
 from repro.trace.record import ADDR_DTYPE, KIND_DTYPE, TraceChunk
-from repro.trace.synthetic import DEFAULT_CHUNK, SyntheticProgram, build_workload
-
-#: Bumped whenever trace generation or timing semantics change.  Shared
-#: with the run-record cache (:mod:`repro.experiments.runner` re-exports
-#: it) so trace artifacts and run records invalidate together.
-WORKLOAD_VERSION = "wv4"
+from repro.trace.synthetic import DEFAULT_CHUNK, build_workload
 
 #: Artifact manifest schema tag, bumped when the artifact layout changes.
-TRACE_SCHEMA = "rampage-trace/1"
+TRACE_SCHEMA = "rampage-trace/2"
+
+#: Earlier layouts: unreachable by key, reported stale rather than corrupt.
+STALE_TRACE_SCHEMAS = ("rampage-trace/1",)
 
 #: Subdirectory of the cache directory holding trace artifacts.
 TRACE_DIRNAME = "traces"
 
-#: Suffix appended to an artifact directory that failed validation.
-QUARANTINE_SUFFIX = ".corrupt"
-
-MANIFEST_NAME = "manifest.json"
 KINDS_NAME = "kinds.npy"
 ADDRS_NAME = "addrs.npy"
+
+#: The arrays of a trace artifact (see :mod:`repro.trace.artifacts`).
+_ARRAYS = (("kinds", KIND_DTYPE, 0), ("addrs", ADDR_DTYPE, 0))
+
+#: One program table row: spec, pid, seed, start and stop offsets.
+ProgramEntry = tuple[ProgramSpec, int, int, int, int]
 
 
 def workload_key(
@@ -92,12 +93,13 @@ def workload_key(
     """Stable identity of one materialized workload.
 
     Mirrors the run-record cache's keying style: SHA-256 over the
-    complete generation identity (version, scale, seed, program
-    catalogue), truncated to 24 hex digits.
+    complete generation identity (version, layout schema, scale, seed,
+    program catalogue), truncated to 24 hex digits.
     """
     blob = "|".join(
         (
             WORKLOAD_VERSION,
+            TRACE_SCHEMA,
             f"scale={scale!r}",
             f"seed={seed}",
             "programs=" + ",".join(spec.name for spec in programs),
@@ -203,31 +205,28 @@ class MaterializedWorkload:
 synthesis_count = 0
 
 
-def _synthesize_segments(
+def _synthesize(
     scale: float, seed: int, programs: tuple[ProgramSpec, ...]
-) -> list[tuple[SyntheticProgram, np.ndarray, np.ndarray]]:
-    """Run live synthesis once; returns per-program flat arrays."""
+) -> tuple[list[ProgramEntry], np.ndarray, np.ndarray]:
+    """Run live synthesis once; returns the program table and flat arrays."""
     global synthesis_count
     synthesis_count += 1
-    segments = []
+    table: list[ProgramEntry] = []
+    kinds_parts: list[np.ndarray] = []
+    addrs_parts: list[np.ndarray] = []
+    stop = 0
     for program in build_workload(scale, seed=seed, programs=programs):
-        kinds_parts: list[np.ndarray] = []
-        addrs_parts: list[np.ndarray] = []
+        start = stop
         for chunk in program.chunks():
             kinds_parts.append(chunk.kinds)
             addrs_parts.append(chunk.addrs)
-        segments.append(
-            (
-                program,
-                np.concatenate(kinds_parts),
-                np.concatenate(addrs_parts),
-            )
-        )
-    return segments
+            stop += len(chunk.kinds)
+        table.append((program.spec, program.pid, program.seed, start, stop))
+    return table, np.concatenate(kinds_parts), np.concatenate(addrs_parts)
 
 
 def _programs_from_arrays(
-    segments: list[tuple[ProgramSpec, int, int, int, int]],
+    segments: list[ProgramEntry],
     kinds: np.ndarray,
     addrs: np.ndarray,
     slice_refs: int,
@@ -262,109 +261,36 @@ def artifact_dir(cache_dir: str | Path, key: str) -> Path:
     return trace_root(cache_dir) / key
 
 
-def _file_checksum(path: Path) -> str:
-    """SHA-256 over a file's bytes (streamed, keeps memory flat)."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def write_artifact(
     directory: str | Path,
     key: str,
     scale: float,
     seed: int,
-    segments: list[tuple[SyntheticProgram, np.ndarray, np.ndarray]],
+    table: list[ProgramEntry],
+    kinds: np.ndarray,
+    addrs: np.ndarray,
 ) -> Path:
-    """Atomically commit one workload's arrays as an artifact directory.
-
-    The artifact is staged in a sibling temp directory (same
-    filesystem), fsynced, then renamed into place.  Losing a concurrent
-    race (the final directory appeared meanwhile) is benign: both
-    writers produce identical bytes, so the loser discards its copy.
-    """
-    directory = Path(directory)
-    directory.parent.mkdir(parents=True, exist_ok=True)
-    tmp = directory.parent / f".{directory.name}.tmp-{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
-    tmp.mkdir(parents=True)
-    try:
-        kinds = np.concatenate([k for _, k, _ in segments])
-        addrs = np.concatenate([a for _, _, a in segments])
-        np.save(tmp / KINDS_NAME, kinds)
-        np.save(tmp / ADDRS_NAME, addrs)
-        table = []
-        start = 0
-        for program, seg_kinds, _ in segments:
-            stop = start + len(seg_kinds)
-            table.append(
-                {
-                    "name": program.spec.name,
-                    "pid": program.pid,
-                    "seed": program.seed,
-                    "start": start,
-                    "stop": stop,
-                }
-            )
-            start = stop
-        manifest = {
+    """Commit one workload's arrays and program table (atomically)."""
+    return artifacts.commit(
+        directory,
+        {"kinds": kinds, "addrs": addrs},
+        {
             "schema": TRACE_SCHEMA,
-            "workload_version": WORKLOAD_VERSION,
             "key": key,
             "scale": scale,
             "seed": seed,
             "total_refs": int(len(kinds)),
-            "checksum_kinds": _file_checksum(tmp / KINDS_NAME),
-            "checksum_addrs": _file_checksum(tmp / ADDRS_NAME),
-            "programs": table,
-        }
-        with open(tmp / MANIFEST_NAME, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(manifest, indent=2) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        try:
-            os.rename(tmp, directory)
-        except OSError:
-            if not (directory / MANIFEST_NAME).exists():
-                raise
-            # Lost the race to an identical artifact; keep theirs.
-            shutil.rmtree(tmp, ignore_errors=True)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return directory
+            "programs": [
+                {"name": spec.name, "pid": pid, "seed": pseed, "start": lo, "stop": hi}
+                for spec, pid, pseed, lo, hi in table
+            ],
+        },
+    )
 
 
 def read_manifest(directory: str | Path) -> dict:
-    """Validate and return an artifact's manifest.
-
-    Raises :class:`CacheIntegrityError` on every corruption mode short
-    of array damage: unreadable or invalid JSON, a schema or workload
-    version mismatch, or a malformed program table.
-    """
-    directory = Path(directory)
-    path = directory / MANIFEST_NAME
-    try:
-        manifest = json.loads(path.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CacheIntegrityError(f"unreadable manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise CacheIntegrityError("manifest is not an object")
-    if manifest.get("schema") != TRACE_SCHEMA:
-        raise CacheIntegrityError(
-            f"schema mismatch: artifact has {manifest.get('schema')!r}, "
-            f"expected {TRACE_SCHEMA!r}"
-        )
-    if manifest.get("workload_version") != WORKLOAD_VERSION:
-        raise CacheIntegrityError(
-            f"workload version mismatch: artifact has "
-            f"{manifest.get('workload_version')!r}, expected {WORKLOAD_VERSION!r}"
-        )
-    table = manifest.get("programs")
-    if not isinstance(table, list) or not table:
-        raise CacheIntegrityError("manifest has no program table")
-    return manifest
+    """A trace artifact's validated manifest (see :mod:`repro.trace.artifacts`)."""
+    return artifacts.read_manifest(directory, TRACE_SCHEMA, STALE_TRACE_SCHEMAS)
 
 
 def load_artifact(
@@ -375,46 +301,29 @@ def load_artifact(
 ) -> list[MaterializedProgram]:
     """Attach to an on-disk artifact; returns its replay programs.
 
-    Validation is strict -- manifest layers, array checksums, lengths,
-    dtypes, and the program table against the live catalogue -- and any
-    failure raises :class:`CacheIntegrityError` so callers can
+    The store validates the manifest and the arrays; this checks the
+    program table against the array length and the live catalogue.
+    Any failure raises :class:`CacheIntegrityError` so callers can
     quarantine and regenerate.  Arrays are memory-mapped read-only, so
     attaching costs one manifest read plus a checksum pass, never a
     synthesis.
     """
-    directory = Path(directory)
     manifest = read_manifest(directory)
-    arrays: dict[str, np.ndarray] = {}
-    for name, dtype, checksum_field in (
-        (KINDS_NAME, KIND_DTYPE, "checksum_kinds"),
-        (ADDRS_NAME, ADDR_DTYPE, "checksum_addrs"),
-    ):
-        path = directory / name
-        if not path.exists():
-            raise CacheIntegrityError(f"missing array file {name}")
-        if manifest.get(checksum_field) != _file_checksum(path):
-            raise CacheIntegrityError(f"checksum mismatch on {name}")
-        try:
-            array = np.load(path, mmap_mode="r")
-        except (OSError, ValueError) as exc:
-            raise CacheIntegrityError(f"unreadable array file {name}: {exc}") from exc
-        if array.dtype != dtype or array.ndim != 1:
-            raise CacheIntegrityError(
-                f"{name}: expected 1-d {np.dtype(dtype)}, got "
-                f"{array.ndim}-d {array.dtype}"
-            )
-        arrays[name] = array
-    kinds, addrs = arrays[KINDS_NAME], arrays[ADDRS_NAME]
+    arrays = artifacts.load_arrays(directory, manifest, _ARRAYS)
+    kinds, addrs = arrays["kinds"], arrays["addrs"]
     total = manifest.get("total_refs")
     if not (len(kinds) == len(addrs) == total):
         raise CacheIntegrityError(
             f"array lengths ({len(kinds)}, {len(addrs)}) disagree with "
             f"manifest total_refs ({total})"
         )
+    table = manifest.get("programs")
+    if not isinstance(table, list) or not table:
+        raise CacheIntegrityError("manifest has no program table")
     catalogue = {spec.name: spec for spec in programs}
-    segments: list[tuple[ProgramSpec, int, int, int, int]] = []
+    segments: list[ProgramEntry] = []
     expected_start = 0
-    for entry in manifest["programs"]:
+    for entry in table:
         try:
             spec = catalogue[entry["name"]]
             start, stop = int(entry["start"]), int(entry["stop"])
@@ -434,23 +343,6 @@ def load_artifact(
     return _programs_from_arrays(segments, kinds, addrs, slice_refs, chunk_refs)
 
 
-def quarantine_artifact(directory: str | Path) -> Path:
-    """Move a failed artifact aside for post-mortem; returns the target."""
-    directory = Path(directory)
-    target = directory.with_name(directory.name + QUARANTINE_SUFFIX)
-    if target.exists():
-        target = directory.with_name(
-            f"{directory.name}{QUARANTINE_SUFFIX}-{os.getpid()}"
-        )
-        shutil.rmtree(target, ignore_errors=True)
-    try:
-        os.rename(directory, target)
-    except OSError:
-        # Someone else already moved or deleted it.
-        return directory
-    return target
-
-
 # ----------------------------------------------------------------------
 # Process-level registry
 # ----------------------------------------------------------------------
@@ -460,11 +352,6 @@ def quarantine_artifact(directory: str | Path) -> Path:
 #: cache directories (benchmarks) stay bounded.
 _REGISTRY: dict[tuple, MaterializedWorkload] = {}
 _REGISTRY_MAX = 8
-
-
-class _NullEvents:
-    def emit(self, event: str, **fields: object) -> None:
-        pass
 
 
 def _remember(key: tuple, plane: MaterializedWorkload) -> MaterializedWorkload:
@@ -504,7 +391,7 @@ def get_workload(
     replay chunks are cut at its boundaries (see :func:`_slice_spans`).
     It shapes only the in-memory chunking, never the on-disk artifact.
     """
-    events = events if events is not None else _NullEvents()
+    events = events if events is not None else EventLog(None)
     key = workload_key(scale, seed, programs)
     registry_key = (
         key,
@@ -519,43 +406,30 @@ def get_workload(
     path: Path | None = None
     if cache_dir is not None:
         path = artifact_dir(cache_dir, key)
-        if path.exists():
-            try:
-                replay = load_artifact(
-                    path,
-                    slice_refs,
-                    chunk_refs=chunk_refs,
-                    programs=programs,
-                )
-            except CacheIntegrityError as error:
-                quarantined = quarantine_artifact(path)
-                events.emit(
-                    "trace_quarantined",
-                    key=key,
-                    path=str(quarantined),
-                    reason=str(error),
-                )
-            else:
-                events.emit(
-                    "trace_attached",
-                    key=key,
-                    path=str(path),
-                    refs=sum(p.total_refs for p in replay),
-                )
-                return _remember(
-                    registry_key,
-                    MaterializedWorkload(key=key, programs=replay, path=path),
-                )
+        replay = artifacts.attach(
+            "trace",
+            key,
+            path,
+            lambda directory: load_artifact(
+                directory, slice_refs, chunk_refs=chunk_refs, programs=programs
+            ),
+            events,
+        )
+        if replay is not None:
+            events.emit(
+                "trace_attached",
+                key=key,
+                path=str(path),
+                refs=sum(p.total_refs for p in replay),
+            )
+            return _remember(
+                registry_key,
+                MaterializedWorkload(key=key, programs=replay, path=path),
+            )
 
-    segments = _synthesize_segments(scale, seed, programs)
+    table, kinds, addrs = _synthesize(scale, seed, programs)
     if path is not None:
-        write_artifact(path, key, scale, seed, segments)
-    table = [
-        (program.spec, program.pid, program.seed, start, stop)
-        for program, start, stop in _segment_offsets(segments)
-    ]
-    kinds = np.concatenate([k for _, k, _ in segments])
-    addrs = np.concatenate([a for _, _, a in segments])
+        write_artifact(path, key, scale, seed, table, kinds, addrs)
     replay = _programs_from_arrays(table, kinds, addrs, slice_refs, chunk_refs)
     plane = MaterializedWorkload(
         key=key, programs=replay, path=path, synthesized=True
@@ -567,15 +441,3 @@ def get_workload(
         refs=plane.total_refs,
     )
     return _remember(registry_key, plane)
-
-
-def _segment_offsets(
-    segments: list[tuple[SyntheticProgram, np.ndarray, np.ndarray]]
-) -> list[tuple[SyntheticProgram, int, int]]:
-    offsets = []
-    start = 0
-    for program, kinds, _ in segments:
-        stop = start + len(kinds)
-        offsets.append((program, start, stop))
-        start = stop
-    return offsets

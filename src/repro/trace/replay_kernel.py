@@ -92,8 +92,7 @@ class ReplayKernel:
 
     Built once per plane (``MissPlane.kernel()`` memoizes it); the
     constructor extracts the timing-invariant window structure, and
-    :meth:`price` / :meth:`price_many` evaluate it per (dram,
-    cycle_ps).  Raises :class:`IndexError` at build time for a tape
+    :meth:`price_many` evaluates it per (dram, cycle_ps).  Raises :class:`IndexError` at build time for a tape
     whose ``WAIT`` rows reference fills not yet queued -- the same
     failure class the scalar recursion hits -- so replay callers can
     map it to plane corruption.
@@ -269,20 +268,14 @@ class ReplayKernel:
             return plain, rambus_pipelined_ps_array(dram, self.sizes)
         return plain, plain
 
-    def price(self, dram: RambusParams, cycle_ps: int) -> tuple[int, int, int]:
-        """``(dram_ps, stall_ps, overlap_ps)`` under one timing.
-
-        Byte-identical to running the scalar ``_replay_timeline`` over
-        the same tape.
-        """
-        return self._price(dram, int(cycle_ps), self.tables(dram))
-
     def price_many(
         self, timings: list[tuple[RambusParams, int]]
     ) -> list[tuple[int, int, int]]:
         """Price every (dram, cycle_ps) of one plane group's cells.
 
-        The whole-group batch path: the window structure is shared by
+        Each result is ``(dram_ps, stall_ps, overlap_ps)``,
+        byte-identical to running the scalar ``_replay_timeline`` over
+        the same tape under that timing.  The whole-group batch path: the window structure is shared by
         construction, and price tables are cached per distinct Rambus
         parameter set, so an issue-rate sweep prices its tables once.
         """

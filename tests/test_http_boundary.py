@@ -5,7 +5,9 @@ network; a value that cannot describe a sweep must be refused with a
 400 (or a 404 for a name that does not exist) when it arrives, never
 crash a route with a 500 or be coerced into a different sweep.  The
 seeded fuzz test sends about a hundred such requests, each built to be
-malformed, and then checks that no job was admitted.
+malformed, and then checks that no job was admitted.  A well-formed job
+too large for the daemon to hold is refused with a 413 before anything
+is journalled.
 """
 
 import http.client
@@ -15,7 +17,7 @@ from urllib.parse import quote, urlsplit
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import DEFAULT_RATES, DEFAULT_SIZES, ExperimentConfig
 from repro.service import ServiceThread, SweepService
 from repro.service.jobs import JobSpec
 from repro.trace import materialize
@@ -45,6 +47,30 @@ def service(tmp_path):
     url = thread.start()
     yield svc, url
     thread.stop()
+
+
+@pytest.fixture
+def idle_service(tmp_path, monkeypatch):
+    """A daemon whose scheduler never starts, so no admitted job runs."""
+    config = ExperimentConfig(
+        scale=0.0001,
+        slice_refs=4_000,
+        issue_rates=(10**9,),
+        sizes=(128, 1024),
+        seed=0,
+        cache_dir=tmp_path / "cache",
+    )
+    svc = SweepService(config, port=0, workers=1, queue_limit=4)
+    monkeypatch.setattr(svc.scheduler, "start", lambda: [])
+    thread = ServiceThread(svc)
+    url = thread.start()
+    yield svc, url
+    thread.stop()
+
+
+def journal_lines(svc) -> list[str]:
+    path = svc.store.path
+    return path.read_text("utf-8").splitlines() if path.exists() else []
 
 
 def request(url: str, method: str, path: str, body: bytes | None = None):
@@ -97,6 +123,33 @@ def test_malformed_job_spec_is_a_400(service, body):
     status, payload = request(url, "POST", "/v1/jobs", body)
     assert status == 400, payload
     assert request(url, "GET", "/v1/jobs") == (200, [])
+
+
+def test_oversized_job_is_a_413_and_journals_nothing(idle_service):
+    """At the paper's full scale one cell is 1.093 G references; a
+    daemon that admitted it would grow by gigabytes."""
+    svc, url = idle_service
+    status, payload = request(url, "POST", "/v1/jobs", b'{"scale": 1.0}')
+    assert status == 413, payload
+    assert "too large" in payload["error"]
+    assert journal_lines(svc) == []
+    assert request(url, "GET", "/v1/jobs") == (200, [])
+
+
+def test_paper_grid_at_its_scale_is_admitted(idle_service):
+    """The 72-cell Table 3-5 and Figure 2-5 grid at scale 0.003
+    (236 M references) stays within the admission cap."""
+    svc, url = idle_service
+    body = {
+        "labels": ["baseline", "rampage", "rampage_som", "twoway"],
+        "scale": 0.003,
+        "rates": list(DEFAULT_RATES),
+        "sizes": list(DEFAULT_SIZES),
+    }
+    status, payload = request(url, "POST", "/v1/jobs", json.dumps(body).encode())
+    assert status == 201, payload
+    assert payload["total"] == 72
+    assert len(journal_lines(svc)) == 1
 
 
 @pytest.mark.parametrize(

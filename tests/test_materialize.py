@@ -291,6 +291,8 @@ def test_manifest_contents(tmp_path):
     assert manifest["workload_version"] == materialize.WORKLOAD_VERSION
     assert manifest["key"] == workload_key(SCALE, SEED)
     assert manifest["total_refs"] == plane.total_refs
+    assert manifest["kinds"] == manifest["addrs"] == plane.total_refs
+    assert manifest["checksums"].keys() == {KINDS_NAME, ADDRS_NAME}
     table = manifest["programs"]
     assert [entry["pid"] for entry in table] == [p.pid for p in plane.programs]
     assert table[0]["start"] == 0
@@ -321,6 +323,10 @@ def damage_missing_kinds(path: Path) -> None:
     (path / KINDS_NAME).unlink()
 
 
+def damage_manifest_not_utf8(path: Path) -> None:
+    (path / MANIFEST_NAME).write_bytes(b"\xff\xfe torn")
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -328,6 +334,7 @@ def damage_missing_kinds(path: Path) -> None:
         damage_manifest_json,
         damage_wrong_version,
         damage_missing_kinds,
+        damage_manifest_not_utf8,
     ],
 )
 def test_corrupt_artifact_quarantined_and_regenerated(tmp_path, damage):

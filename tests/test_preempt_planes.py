@@ -261,6 +261,21 @@ def _write_stale_plane(cache_dir, key: str, schema: str):
     return path
 
 
+def _write_stale_trace(cache_dir, key: str):
+    """Hand-write a trace directory holding a ``rampage-trace/1`` manifest."""
+    path = materialize.artifact_dir(cache_dir, key)
+    path.mkdir(parents=True)
+    manifest = {
+        "schema": "rampage-trace/1",
+        "workload_version": WORKLOAD_VERSION,
+        "key": key,
+        "total_refs": 1,
+        "programs": [{"name": "gcc", "pid": 0, "seed": 0, "start": 0, "stop": 1}],
+    }
+    (path / MANIFEST_NAME).write_text(json.dumps(manifest), "utf-8")
+    return path
+
+
 def test_load_plane_rejects_v1_and_v2_manifests(tmp_path):
     """Older layouts are never read, not even a genuine recording's
     arrays relabelled with an old schema tag."""
@@ -280,20 +295,28 @@ def test_cache_verify_reports_stale_planes(tmp_path, capsys):
     write_plane(artifact_dir(tmp_path, plane.key), plane)
     assert main(["cache", "verify", "--dir", str(tmp_path)]) == 0
     _write_stale_plane(tmp_path, "0" * 24, "rampage-plane/2")
+    _write_stale_trace(tmp_path, "1" * 24)
     capsys.readouterr()
     assert main(["cache", "verify", "--dir", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert f"STALE plane {'0' * 24}" in out
+    assert f"STALE trace {'1' * 24}" in out
     assert "CORRUPT" not in out
 
 
 def test_cache_purge_corrupt_only_drops_stale_planes(tmp_path):
     _, plane = record_plane(rampage_machine(10**9, 1024))
     live = write_plane(artifact_dir(tmp_path, plane.key), plane)
+    live_trace = get_workload(
+        SCALE, SEED, cache_dir=tmp_path, slice_refs=SLICE_REFS
+    ).path
     stale = _write_stale_plane(tmp_path, "0" * 24, "rampage-plane/2")
+    stale_trace = _write_stale_trace(tmp_path, "1" * 24)
     assert main(["cache", "purge", "--corrupt-only", "--dir", str(tmp_path)]) == 0
     assert not stale.exists()
+    assert not stale_trace.exists()
     assert live.exists()
+    assert live_trace.exists()
     assert main(["cache", "verify", "--dir", str(tmp_path)]) == 0
 
 

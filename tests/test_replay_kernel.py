@@ -64,7 +64,7 @@ def assert_kernel_matches_scalar(rows):
     kernel = ReplayKernel(np.asarray(rows, dtype=np.int64).reshape(-1, 3))
     for dram in DRAM_TIMINGS:
         for cycle_ps in CYCLE_PS:
-            assert kernel.price(dram, cycle_ps) == _replay_timeline(
+            assert kernel.price_many([(dram, cycle_ps)])[0] == _replay_timeline(
                 dram, cycle_ps, cols
             ), f"diverged at {dram} cycle_ps={cycle_ps}: {rows}"
 
@@ -107,7 +107,7 @@ def test_price_arrays_handle_empty_input():
 
 def test_empty_tape_prices_to_zero():
     kernel = ReplayKernel(np.zeros((0, 3), dtype=np.int64))
-    assert kernel.price(RambusParams(), 1_000) == (0, 0, 0)
+    assert kernel.price_many([(RambusParams(), 1_000)]) == [(0, 0, 0)]
     assert _replay_timeline(RambusParams(), 1_000, ([], [], [])) == (0, 0, 0)
 
 
@@ -225,7 +225,7 @@ def test_group_batched_pricing_equals_per_cell():
     kernel = ReplayKernel(np.asarray(rows, dtype=np.int64))
     timings = [(dram, cyc) for dram in DRAM_TIMINGS for cyc in CYCLE_PS]
     assert kernel.price_many(timings) == [
-        kernel.price(dram, cyc) for dram, cyc in timings
+        kernel.price_many([timing])[0] for timing in timings
     ]
 
 
@@ -295,7 +295,7 @@ def test_scalar_pending_map_stays_bounded_on_fill_heavy_tape():
     assert missplane._timeline_pending_peak == 1
     assert result == ReplayKernel(
         np.asarray(rows, dtype=np.int64)
-    ).price(RambusParams(), 1_000)
+    ).price_many([(RambusParams(), 1_000)])[0]
 
 
 def test_scalar_pending_map_drains_on_sync_without_waits():

@@ -14,7 +14,11 @@ issue rates — the speed-ratio sweep every paper table runs):
 4. SIGKILL the daemon mid-restart-resubmission, restart it over the
    same state directory, and assert the journalled job finishes
    entirely from cache (zero ``mode=full`` cells),
-5. SIGTERM the daemon and check it drains gracefully (exit code 0).
+5. run ``rampage-sim cache verify`` over the daemon's cache: every
+   record, trace and plane it wrote must pass the one validator,
+6. submit one cell at the paper's full scale and assert the daemon
+   refuses it with 413 at admission,
+7. SIGTERM the daemon and check it drains gracefully (exit code 0).
 
 Run it locally with ``python tools/service_smoke.py``.  Exits nonzero
 on the first violated invariant.
@@ -45,6 +49,7 @@ from repro.bench import (  # noqa: E402
 from repro.experiments.config import ExperimentConfig  # noqa: E402
 from repro.experiments.runner import Runner, iter_cache_files  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
+from repro.service.client import ServiceError  # noqa: E402
 
 READY_TIMEOUT_S = 30
 JOB_TIMEOUT_S = 600
@@ -215,7 +220,28 @@ def main() -> int:
         check(modes.get("full", 0) == 0 and modes == {"cached": total},
               f"recovery re-simulated nothing (modes={modes})")
 
-        print("== leg 3: graceful SIGTERM drain ==")
+        print("== leg 3: the daemon's cache verifies; oversized jobs bounce ==")
+        verify = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "cache", "verify",
+             "--dir", str(cache_dir)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+        print("\n".join(f"  [verify] {line}"
+                        for line in verify.stdout.splitlines()))
+        check(verify.returncode == 0,
+              "cache verify passes every record, trace and plane written")
+        try:
+            client.submit({"scale": 1.0})
+        except ServiceError as exc:
+            refused = exc.status
+        else:
+            refused = None
+        check(refused == 413,
+              f"a scale-1.0 job is refused at admission (status={refused})")
+
+        print("== leg 4: graceful SIGTERM drain ==")
         proc.send_signal(signal.SIGTERM)
         try:
             rc = proc.wait(timeout=60)
