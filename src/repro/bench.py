@@ -12,10 +12,9 @@ Two instruments, both appended as one snapshot:
   cold run-record cache through the sweep engine: the workload is
   materialized once, each plane group records one miss plane and its
   siblings replay as timing arithmetic.  The best-of-rounds wall time
-  is recorded as ``wall_s``.  ``--baseline-src`` additionally runs the
-  sweep against another source tree (a git worktree of an earlier
-  commit) on *its* default path, so the snapshot can record end-to-end
-  speedup over that commit.
+  is recorded as ``wall_s``.  Timing one commit against another is the
+  repository benchmark's job (``perfbench/``), which runs the parent
+  and the change in alternating pairs.
 
 The sweep shape matches what the paper's tables actually do: hold the
 geometry fixed and sweep the CPU/DRAM speed ratio (three issue rates,
@@ -41,10 +40,11 @@ smoke gate so none of the fast paths can silently desync from the
 reference behaviour.
 
 ``--replay`` additionally runs the decision-op **replay-kernel
-microbenchmark**: one preempting plane per machine (switch-on-miss
-RAMpage and virtual-L1), its nine-cell sibling grid (three issue rates
-x three Rambus timings) priced by the scalar ``_replay_timeline``
-interpreter versus the vectorized
+microbenchmark**: one plane per machine (plain RAMpage, whose tape
+holds only ``SYNC`` rows, and the preempting switch-on-miss RAMpage and
+virtual-L1), its nine-cell sibling grid (three issue rates x three
+Rambus timings) priced by the scalar ``_replay_timeline`` interpreter
+versus the vectorized
 :class:`~repro.trace.replay_kernel.ReplayKernel` (cold build + batched
 ``price_many``, and warm on the memoized kernel).  Every cell's
 vectorized output is compared to the scalar oracle first and any
@@ -62,7 +62,6 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 from datetime import date
@@ -212,10 +211,10 @@ def measure_sweep(rounds: int) -> dict:
 def measure_replay(rounds: int) -> dict:
     """``--replay``: scalar vs vectorized group re-pricing, plus a gate.
 
-    Records one preempting plane per machine (switch-on-miss RAMpage
-    and switch-on-miss virtual-L1 at the sweep scale), then prices the
-    nine-cell sibling grid (:data:`SWEEP_RATES` ×
-    :data:`REPLAY_DRAM_TIMINGS`) three ways:
+    Records one plane per machine at the sweep scale -- plain RAMpage
+    (``SYNC`` rows only), switch-on-miss RAMpage and switch-on-miss
+    virtual-L1 -- then prices the nine-cell sibling grid
+    (:data:`SWEEP_RATES` × :data:`REPLAY_DRAM_TIMINGS`) three ways:
 
     * **scalar** -- the per-cell ``_replay_timeline`` interpreter, the
       pre-kernel ``replay_group`` behaviour;
@@ -234,6 +233,7 @@ def measure_replay(rounds: int) -> dict:
         for rate in SWEEP_RATES
     ]
     machines = {
+        "rampage": rampage_machine(10**9, 1024),
         "rampage_som": rampage_machine(10**9, 1024, switch_on_miss=True),
         "rampage_vl1_som": virtual_l1_machine(
             10**9, 1024, switch_on_miss=True
@@ -262,7 +262,7 @@ def measure_replay(rounds: int) -> dict:
             record_plane=recorder,
         )
         plane = recorder.finalize()
-        columns = plane.dop_rows()
+        columns = tuple(plane.dops[:, column].tolist() for column in range(3))
         kernel = ReplayKernel(plane.dops)
         scalar_out = [
             missplane._replay_timeline(dram, cyc, columns)
@@ -310,58 +310,6 @@ def measure_replay(rounds: int) -> dict:
             f"{entry['kernel_ops_per_s']:,} ops/s)"
         )
     return report
-
-
-#: Subprocess harness for --baseline-src: runs the same sweep shape
-#: against a different source tree (typically a git worktree of an
-#: earlier commit) on that tree's *default* serial-runner path, so the
-#: recorded speedup is end-to-end against what that commit actually
-#: shipped rather than against a handicapped configuration.
-_BASELINE_HARNESS = """
-import json, sys, tempfile, time
-from pathlib import Path
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import Runner
-
-labels, sizes, rates, scale, slice_refs, rounds = json.loads(sys.argv[1])
-best_wall = best_cpu = float("inf")
-for _ in range(rounds):
-    with tempfile.TemporaryDirectory(prefix="bench-sweep-") as tmp:
-        config = ExperimentConfig(
-            scale=scale, slice_refs=slice_refs, issue_rates=tuple(rates),
-            sizes=tuple(sizes), seed=0, cache_dir=Path(tmp),
-        )
-        runner = Runner(config)
-        wall0, cpu0 = time.perf_counter(), time.process_time()
-        for label in labels:
-            runner.grid(label)
-        best_wall = min(best_wall, time.perf_counter() - wall0)
-        best_cpu = min(best_cpu, time.process_time() - cpu0)
-print(json.dumps({"wall_s": best_wall, "cpu_s": best_cpu}))
-"""
-
-
-def measure_baseline_src(src: str, rounds: int) -> dict:
-    """Best-of-``rounds`` sweep wall/cpu seconds for another source tree."""
-    shape = json.dumps(
-        [
-            list(SWEEP_LABELS),
-            list(SWEEP_SIZES),
-            list(SWEEP_RATES),
-            SWEEP_SCALE,
-            SWEEP_SLICE_REFS,
-            rounds,
-        ]
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", _BASELINE_HARNESS, shape],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def _check_planes(scale: float, seed: int, slice_refs: int) -> int:
@@ -528,20 +476,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--note", default="", help="what changed since the last snapshot"
     )
     parser.add_argument(
-        "--baseline-src",
-        default="",
-        help=(
-            "src directory of another checkout (e.g. a git worktree of an "
-            "earlier commit); the sweep is also run there and the snapshot "
-            "records speedup against it"
-        ),
-    )
-    parser.add_argument(
-        "--baseline-label",
-        default="",
-        help="how to label the --baseline-src tree (e.g. a commit id)",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="fast equivalence self-test (no benchmark, no file write)",
@@ -551,9 +485,9 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help=(
             "also run the decision-op replay-kernel microbenchmark "
-            "(scalar vs vectorized group re-pricing on preempting "
-            "grids); fails if any cell's vectorized output diverges "
-            "from the scalar oracle"
+            "(scalar vs vectorized group re-pricing on plain and "
+            "preempting grids); fails if any cell's vectorized output "
+            "diverges from the scalar oracle"
         ),
     )
     parser.add_argument(
@@ -605,19 +539,6 @@ def run(args: argparse.Namespace) -> int:
         if replay["mismatches"]:
             return 1
         snapshot["replay_kernel"] = replay
-    if args.baseline_src:
-        baseline = measure_baseline_src(args.baseline_src, args.sweep_rounds)
-        baseline["label"] = args.baseline_label or args.baseline_src
-        baseline["wall_s"] = round(baseline["wall_s"], 4)
-        baseline["cpu_s"] = round(baseline["cpu_s"], 4)
-        baseline["speedup"] = round(
-            baseline["wall_s"] / snapshot["sweep"]["wall_s"], 3
-        )
-        snapshot["sweep"]["baseline"] = baseline
-        print(
-            f"baseline [{baseline['label']}]: {baseline['wall_s']:.3f}s, "
-            f"speedup {baseline['speedup']:.2f}x"
-        )
     snapshots.append(snapshot)
     data["snapshots"] = snapshots
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")

@@ -39,9 +39,9 @@ from repro.core.errors import (
 from repro.core.timer import ScopedTimer, refs_per_second
 from repro.experiments import ExperimentConfig, ParallelRunner, Runner
 from repro.experiments.runner import (
-    decode_cache_entry,
     iter_cache_files,
     iter_quarantined_files,
+    read_cache_entry,
 )
 from repro.reports import FORMATS, cache_status
 from repro.reports.status import ARTIFACT_LAYOUTS, artifact_dirs, is_stale
@@ -450,7 +450,7 @@ def _cache_verify(cache_dir: Path, args: argparse.Namespace) -> int:
     for path in iter_cache_files(cache_dir):
         checked += 1
         try:
-            decode_cache_entry(path.read_text("utf-8"))
+            read_cache_entry(path)
         except (OSError, CacheIntegrityError) as error:
             bad += 1
             print(f"CORRUPT {path.name}: {error}")

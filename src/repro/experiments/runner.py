@@ -148,6 +148,20 @@ def decode_cache_entry(text: str) -> RunRecord:
         raise CacheIntegrityError(f"record payload incomplete: {exc}") from exc
 
 
+def read_cache_entry(path: Path) -> RunRecord:
+    """Read and decode one record file.
+
+    The one read path of every record reader.  Raises ``OSError`` when
+    the file cannot be read, and :class:`CacheIntegrityError` when its
+    bytes are not UTF-8 or fail :func:`decode_cache_entry`.
+    """
+    try:
+        text = path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CacheIntegrityError(f"record is not UTF-8: {exc}") from exc
+    return decode_cache_entry(text)
+
+
 def shard_prefix(key: str) -> str:
     """The shard a cache key lands in (its leading hex digits)."""
     return key[:SHARD_PREFIX_LEN]
@@ -292,11 +306,9 @@ class Runner:
         if path is None:
             return None
         try:
-            text = path.read_text("utf-8")
+            record = read_cache_entry(path)
         except OSError:
             return None
-        try:
-            record = decode_cache_entry(text)
         except CacheIntegrityError as error:
             self._quarantine(key, path, error)
             return None
@@ -395,9 +407,8 @@ class Runner:
         registry or the disk cache.  Without one, the first member runs
         the full simulation that records it, and the plane it just
         committed prices the siblings.  They are priced together by one
-        vectorized :func:`replay_group` call -- the batched
-        :class:`~repro.trace.replay_kernel.ReplayKernel` for preempting
-        planes, a shared idle-channel price table otherwise.  A plane
+        :func:`replay_group` call through the plane's batched
+        :class:`~repro.trace.replay_kernel.ReplayKernel`.  A plane
         that trips a replay invariant is quarantined and the next member
         records a fresh one -- never a crash.
         """

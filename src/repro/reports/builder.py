@@ -31,8 +31,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     GRID_BUILDERS,
     Runner,
-    decode_cache_entry,
     find_record,
+    read_cache_entry,
 )
 
 #: Report name -> the grid labels whose cells it covers.  Every sweep
@@ -154,12 +154,8 @@ def _load_record(config: ExperimentConfig, key: str, label: str) -> RunRecord | 
     if path is None:
         return None
     try:
-        text = path.read_text("utf-8")
-    except OSError:
-        return None
-    try:
-        record = decode_cache_entry(text)
-    except CacheIntegrityError:
+        record = read_cache_entry(path)
+    except (OSError, CacheIntegrityError):
         return None
     if record.label != label:
         record = replace(record, label=label)

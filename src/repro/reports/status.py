@@ -18,9 +18,9 @@ from typing import Callable
 from repro.core.errors import CacheIntegrityError, StaleArtifactError
 from repro.core.observe import read_manifest
 from repro.experiments.runner import (
-    decode_cache_entry,
     iter_cache_files,
     iter_quarantined_files,
+    read_cache_entry,
 )
 from repro.trace import filter as missplane
 from repro.trace import materialize
@@ -90,7 +90,7 @@ def cache_status(cache_dir: str | Path | None) -> dict:
     undecodable = 0
     for path in entries:
         try:
-            record = decode_cache_entry(path.read_text("utf-8"))
+            record = read_cache_entry(path)
         except (OSError, CacheIntegrityError):
             undecodable += 1
             continue

@@ -130,12 +130,9 @@ class MemorySystem:
         # (see _handler_runs).  Entries pin the refs list, keeping its
         # id() stable for the lifetime of the entry.
         self._handler_run_cache: dict[int, tuple[list, list]] = {}
-        # Two-phase sweep taps (repro.trace.filter): a recording run
-        # appends each synchronous DRAM transfer's byte count here.
-        self._tape_sink: list[int] | None = None
-        # Decision-op tap: set to the recorder only when recording a
-        # preempting (switch-on-miss) machine; every DRAM interaction
-        # then also lands on the recorder's decision-op tape.
+        # Two-phase sweep tap (repro.trace.filter): set to the recorder
+        # only while recording a miss plane; every DRAM interaction then
+        # lands on the recorder's decision-op tape.
         self._dop_sink: "PlaneRecorder | None" = None
 
     # ------------------------------------------------------------------
@@ -360,9 +357,9 @@ class MemorySystem:
 
         Recording is a side output of the production chunk loop: only
         the DRAM taps (``_dram_sync``, and on RAMpage ``_page_fault``
-        and ``_below_l1_fetch``) feed the recorder.  Switch-on-miss
-        machines also fill its decision-op tape.  Associative L1s are
-        refused, matching :func:`~repro.trace.filter.plane_eligible`.
+        and ``_below_l1_fetch``) feed the recorder's decision-op tape.
+        Associative L1s are refused, matching
+        :func:`~repro.trace.filter.plane_eligible`.
         """
         if self.l1i.ways != 1 or self.l1d.ways != 1:
             raise ConfigurationError(
@@ -370,8 +367,7 @@ class MemorySystem:
                 f"({self.l1i.ways}, {self.l1d.ways}) cannot record a miss "
                 "plane"
             )
-        self._tape_sink = recorder.tape
-        self._dop_sink = recorder if self.params.switch_on_miss else None
+        self._dop_sink = recorder
 
     # ------------------------------------------------------------------
     # L1 handling (shared by workload and handler references)
@@ -653,11 +649,8 @@ class MemorySystem:
 
     def _dram_sync(self, nbytes: int) -> None:
         """Blocking DRAM transfer: stall the CPU for queue + transfer."""
-        tape = self._tape_sink
-        if tape is not None:
-            tape.append(nbytes)
-            if self._dop_sink is not None:
-                self._dop_sink.sync_op(nbytes, self.clock.cycles)
+        if self._dop_sink is not None:
+            self._dop_sink.sync_op(nbytes, self.clock.cycles)
         wait, cost = self.channel.synchronous(self.clock.now_ps, nbytes)
         self.lt.dram += self.clock.tick_ps(wait + cost)
         self.stats.dram_accesses += 1

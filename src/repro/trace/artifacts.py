@@ -12,6 +12,9 @@ validated and quarantined by one implementation (``docs/cache.md``):
   fsyncs the manifest and ``os.rename``\\ s the directory into place.
   Artifact bytes are deterministic, so losing a concurrent race is
   benign: the loser discards its copy and keeps the winner's.
+  :func:`persist` is how callers commit: a failed commit (a full disk, a
+  read-only cache) is a ``<kind>_commit_failed`` event, never an abort,
+  because the caller still holds the fresh artifact in memory.
 * :func:`read_manifest` checks the JSON, the schema tag, the workload
   version and the checksum table.  A schema of an older layout raises
   :class:`~repro.core.errors.StaleArtifactError`: keys hash the schema,
@@ -140,6 +143,28 @@ def commit(directory: str | Path, arrays: dict[str, np.ndarray], manifest: dict)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return directory
+
+
+def persist(
+    kind: str,
+    key: str,
+    directory: Path,
+    write: Callable[[Path], Path],
+    events: EventLog,
+) -> Path | None:
+    """``write(directory)``, or ``None`` when the commit raises ``OSError``.
+
+    The failure is reported as a ``<kind>_commit_failed`` event with its
+    reason; the caller goes on with the artifact it holds in memory and
+    leaves its ``path`` unset, so the next run regenerates it.
+    """
+    try:
+        return write(directory)
+    except OSError as error:
+        events.emit(
+            f"{kind}_commit_failed", key=key, path=str(directory), reason=str(error)
+        )
+        return None
 
 
 def read_manifest(

@@ -14,10 +14,10 @@ its consumer reads: the replay never looks above the DRAM channel.
 Recording is a side output of each machine's one production chunk
 loop.  ``simulate(record_plane=...)`` attaches a :class:`PlaneRecorder`
 whose taps in ``_dram_sync``, ``_page_fault`` and ``_below_l1_fetch``
-fill its two tapes; the chunk loops do not know a recording is running,
-so a recording run is the plain run plus list appends.
+fill its decision-op tape; the chunk loops do not know a recording is
+running, so a recording run is the plain run plus list appends.
 
-Soundness: why the tapes alone re-price a sibling exactly
+Soundness: why the tape alone re-prices a sibling exactly
 ---------------------------------------------------------
 
 Two cells share a plane only when they differ in *timing-only*
@@ -42,56 +42,54 @@ hashes everything else.
   rescaled to the cell's clock.  DRAM time accumulates separately in
   the clock's ``extra`` picoseconds, so the CPU cycle count at every
   DRAM interaction is structural too.
-* **DRAM time is a function of the tapes.**  A non-preempting machine
-  only makes synchronous transfers, and ``_dram_sync`` advances the
-  clock past each one, so the channel is idle at the next request at
-  *any* issue rate: DRAM time is the sum of idle-channel prices over
-  the **timing tape** (``tape.npy``, bytes per synchronous transfer).
-  Switch-on-miss RAMpage (and its virtual-L1 variant) also queues page
-  transfers in the background, so its stall and overlap depend on
-  timing.  It records a **decision-op tape** (``dops.npy``): one row
-  per DRAM interaction -- a blocking transfer (``SYNC``), a background
-  writeback or fill (``BG_WB``/``BG_FILL``), or a potential stall on
-  an in-flight fill (``WAIT``) -- stamped with the absolute CPU cycle
-  count.  ``WAIT`` rows are emitted at every *structural* first touch
-  of a filled frame (a shadow pending map that is never time-pruned),
-  because whether the touch stalls depends on the sibling's timing.
-  The integer max-plus recursion :func:`_replay_timeline` reproduces
-  the live channel arithmetic op by op;
+* **DRAM time is a function of the decision-op tape** (``dops.npy``):
+  one row per DRAM interaction -- a blocking transfer (``SYNC``), a
+  background writeback or fill (``BG_WB``/``BG_FILL``, queued only by
+  switch-on-miss RAMpage and its virtual-L1 variant), or a potential
+  stall on an in-flight fill (``WAIT``) -- stamped with the absolute
+  CPU cycle count.  ``WAIT`` rows are emitted at every *structural*
+  first touch of a filled frame (a shadow pending map that is never
+  time-pruned), because whether the touch stalls depends on the
+  sibling's timing.  A non-preempting machine records only ``SYNC``
+  rows: ``_dram_sync`` advances the clock past each transfer, so the
+  channel is idle at the next one at *any* issue rate.  The integer
+  max-plus recursion :func:`_replay_timeline` reproduces the live
+  channel arithmetic op by op and is the oracle;
   :class:`~repro.trace.replay_kernel.ReplayKernel` is its vectorized
-  production form.
+  production form and prices every plane.
 
-**Checks.**  :meth:`PlaneRecorder.capture` proves a recording before it
-becomes a plane: a tape-only recording must show no channel queueing
-and no overlap, a run that switched on a miss must have captured a
-decision-op tape, and a decision-op tape must replay under the
-recording's own timing to exactly the DRAM time, stall and overlap the
-run measured.  The timing payload carries a digest of the recording's
-structural parameters, and replay raises :class:`PlaneReplayError` for
-a cell whose digest differs, so a plane is never priced for a machine
-it was not recorded on.  The full simulation stays the oracle: the
-tests compare decoupled replay against it across issue rates and
-Rambus timings.
+**Checks.**  :func:`check_snapshot` holds the invariants a plane's
+snapshot must keep: whole-cycle level times, no ``other`` time, one
+``SYNC`` row per DRAM access and one ``BG_FILL`` row per switch on a
+miss.  :meth:`PlaneRecorder.capture`, :func:`load_plane` and
+:func:`replay_group` all call it.  Capture also prices its tape with a
+:class:`~repro.trace.replay_kernel.ReplayKernel` at the recording's
+own Rambus timing and ``cycle_ps`` and requires exactly the DRAM time,
+stall and overlap the run measured; the plane keeps that kernel.  The
+timing payload carries a digest of the recording's structural
+parameters, and replay raises :class:`PlaneReplayError` for a cell
+whose digest differs, so a plane is never priced for a machine it was
+not recorded on.  The full simulation stays the oracle: the tests
+compare decoupled replay against it across issue rates and Rambus
+timings.
 
 Artifact layout (one directory per key under ``<cache_dir>/planes/``)::
 
     planes/<key>/
-    ├── tape.npy        # int64 (A,): bytes moved per synchronous DRAM access
-    ├── dops.npy        # int64 (N, 3): kind, arg, cycles (empty unless preempting)
+    ├── dops.npy        # int64 (N, 3): kind, arg, cycles per DRAM interaction
     └── manifest.json   # schema, versions, counts, checksums, timing payload
 
-Artifacts of the older ``rampage-plane/1`` and ``/2`` layouts are never
-found, because :func:`plane_key` hashes the schema; :func:`read_manifest`
-reports them as :class:`~repro.core.errors.StaleArtifactError` so
-``cache verify`` can flag them and ``cache purge --corrupt-only`` can
-drop them.
+Artifacts of the older ``rampage-plane/1``, ``/2`` and ``/3`` layouts
+are never found, because :func:`plane_key` hashes the schema;
+:func:`read_manifest` reports them as
+:class:`~repro.core.errors.StaleArtifactError` so ``cache verify`` can
+flag them and ``cache purge --corrupt-only`` can drop them.
 
 Commits, validation and quarantine are the artifact store's
 (:mod:`repro.trace.artifacts`, ``docs/cache.md``), shared with the
-materialized trace; this module adds only the cross-check of the
-decision-op tape against the DRAM tape and the timing payload.  A
-corrupt or mismatched plane is a cache *miss* that falls back to a
-recording run.
+materialized trace; this module adds only the tape and timing-payload
+checks.  A corrupt or mismatched plane is a cache *miss* that falls
+back to a recording run.
 """
 
 from __future__ import annotations
@@ -107,11 +105,7 @@ from repro.core.errors import CacheIntegrityError, SimulationError
 from repro.core.observe import EventLog
 from repro.core.params import MachineParams, RambusParams
 from repro.core.stats import SimStats
-from repro.mem.dram import (
-    rambus_pipelined_ps,
-    rambus_transfer_ps,
-    rambus_transfer_ps_array,
-)
+from repro.mem.dram import rambus_pipelined_ps, rambus_transfer_ps
 from repro.trace import artifacts
 from repro.trace.artifacts import MANIFEST_NAME as MANIFEST_NAME
 from repro.trace.artifacts import QUARANTINE_SUFFIX as QUARANTINE_SUFFIX
@@ -125,10 +119,10 @@ from repro.trace.replay_kernel import (
 )
 
 #: Artifact manifest schema tag, bumped when the plane layout changes.
-PLANE_SCHEMA = "rampage-plane/3"
+PLANE_SCHEMA = "rampage-plane/4"
 
 #: Earlier layouts: unreachable by key, reported stale rather than corrupt.
-STALE_PLANE_SCHEMAS = ("rampage-plane/1", "rampage-plane/2")
+STALE_PLANE_SCHEMAS = ("rampage-plane/1", "rampage-plane/2", "rampage-plane/3")
 
 #: Subdirectory of the cache directory holding miss-plane artifacts.
 PLANE_DIRNAME = "planes"
@@ -143,10 +137,7 @@ PLANE_DIRNAME = "planes"
 _CANONICAL_RATE_HZ = 10**9
 
 #: The arrays of a plane artifact (see :mod:`repro.trace.artifacts`).
-_ARRAY_SPECS = (
-    ("tape", np.int64, 0),
-    ("dops", np.int64, 3),
-)
+_ARRAY_SPECS = (("dops", np.int64, 3),)
 
 #: SimStats counters that are structural (identical across a plane
 #: group) and therefore recorded verbatim; the timing-dependent fields
@@ -202,8 +193,8 @@ def plane_eligible(params: MachineParams) -> bool:
     Requires direct-mapped L1s, the shape whose production loops the
     replay-equivalence suites cover; associative-L1 machines run full
     simulations.  Preempting machines (``switch_on_miss``) and
-    virtual-L1 RAMpage are eligible: their DRAM interactions are
-    captured on the decision-op tape.
+    virtual-L1 RAMpage are eligible: the decision-op tape captures
+    their background transfers and waits too.
     """
     return (
         params.kind in ("conventional", "rampage")
@@ -264,11 +255,10 @@ def plane_key(
 
 
 class MissPlane:
-    """One recorded miss plane: the two tapes plus the timing snapshot.
+    """One recorded miss plane: the decision-op tape plus the timing snapshot.
 
-    ``tape`` holds the bytes moved by each synchronous DRAM access in
-    order; ``dops`` is the decision-op tape of a preempting recording
-    (empty for non-preempting machines).  ``cycle_ps`` and ``stats``
+    ``dops`` holds one ``(kind, arg, cycles)`` row per DRAM interaction
+    of the recording run, in order.  ``cycle_ps`` and ``stats``
     snapshot the recording run's clock and final counters, and
     ``structure`` is the recording machine's :func:`structure_digest`,
     all read by :func:`replay_group`.
@@ -277,7 +267,6 @@ class MissPlane:
     def __init__(
         self,
         key: str,
-        tape: np.ndarray,
         dops: np.ndarray,
         cycle_ps: int,
         stats: dict,
@@ -285,47 +274,12 @@ class MissPlane:
         path: Path | None = None,
     ) -> None:
         self.key = key
-        self.tape = tape
         self.dops = dops
         self.cycle_ps = cycle_ps
         self.stats = stats
         self.structure = structure
         self.path = path
-        self._tape_counts = None
-        self._dop_rows = None
         self._kernel: ReplayKernel | None = None
-
-    def tape_counts(self) -> tuple[list[int], np.ndarray]:
-        """Distinct tape byte counts and their frequencies, cached.
-
-        Priced once per plane group: every sibling cell re-prices the
-        same ``(values, counts)`` pair under its own Rambus timing.
-        """
-        if self._tape_counts is None:
-            if len(self.tape):
-                values, counts = np.unique(
-                    np.asarray(self.tape), return_counts=True
-                )
-                self._tape_counts = (values.tolist(), counts.astype(np.int64))
-            else:
-                self._tape_counts = ([], np.zeros(0, dtype=np.int64))
-        return self._tape_counts
-
-    def dop_rows(self) -> tuple[list[int], list[int], list[int]]:
-        """The decision-op tape as plain Python columns, cached.
-
-        The replay recursion is a tight scalar loop; list iteration
-        beats numpy row indexing and the unpack is shared by every
-        sibling cell.
-        """
-        if self._dop_rows is None:
-            dops = np.asarray(self.dops)
-            self._dop_rows = (
-                dops[:, 0].tolist(),
-                dops[:, 1].tolist(),
-                dops[:, 2].tolist(),
-            )
-        return self._dop_rows
 
     def kernel(self) -> ReplayKernel:
         """The vectorized replay kernel over this plane's decision ops.
@@ -333,9 +287,10 @@ class MissPlane:
         Built once per plane -- the kernel's window segmentation is
         timing-invariant -- and shared by every sibling cell and every
         :func:`replay_group` call.  A tape whose waits reference fills
-        not yet queued (impossible for a validated artifact, possible
-        for a hand-built plane) surfaces as :class:`PlaneReplayError`,
-        the same corruption class the scalar recursion reports.
+        not yet queued (impossible for a recording, possible for a
+        damaged artifact or a hand-built plane) surfaces as
+        :class:`PlaneReplayError`, the same corruption class the scalar
+        recursion reports.
         """
         if self._kernel is None:
             try:
@@ -347,28 +302,61 @@ class MissPlane:
         return self._kernel
 
 
+def check_snapshot(plane: MissPlane) -> None:
+    """Raise :class:`PlaneReplayError` unless ``plane`` keeps the invariants.
+
+    The decoupled replay relies on them (see the module docstring):
+    the ``l1i``/``l1d``/``l2`` level times are whole recording cycles
+    and ``other`` is zero; the tape holds one ``SYNC`` row per DRAM
+    access and one ``BG_FILL`` row per switch on a miss.
+    """
+    stats = plane.stats
+    level_times = stats.get("level_times") if isinstance(stats, dict) else None
+    if not isinstance(level_times, dict):
+        raise PlaneReplayError("plane timing snapshot has no level_times")
+    problems = []
+    if level_times.get("other", 0) != 0:
+        problems.append("nonzero level_times.other")
+    cycle_ps = plane.cycle_ps
+    if not isinstance(cycle_ps, int) or cycle_ps <= 0:
+        problems.append(f"invalid recording cycle_ps {cycle_ps!r}")
+    else:
+        for level in ("l1i", "l1d", "l2"):
+            value = level_times.get(level)
+            if not isinstance(value, int) or value % cycle_ps:
+                problems.append(f"level_times.{level} is not a whole cycle count")
+    kinds = np.asarray(plane.dops)[:, 0]
+    for name, kind, counter in (
+        ("SYNC", DOP_SYNC, "dram_accesses"),
+        ("BG_FILL", DOP_BG_FILL, "switches_on_miss"),
+    ):
+        rows = int(np.count_nonzero(kinds == kind))
+        if rows != stats.get(counter):
+            problems.append(f"{rows} {name} rows for {counter}={stats.get(counter)}")
+    if problems:
+        raise PlaneReplayError(
+            "plane timing snapshot broke a decoupling invariant: "
+            + "; ".join(problems)
+        )
+
+
 class PlaneRecorder:
     """Accumulates one miss plane during a live recording simulation.
 
-    The machine's DRAM taps append to :attr:`tape` (every synchronous
-    transfer) and, for switch-on-miss machines, to :attr:`dops` through
-    the decision-op methods below; recording cost is proportional to
-    DRAM interactions, not references.
+    The machine's DRAM taps append one decision op per DRAM interaction
+    through the methods below; recording cost is proportional to DRAM
+    interactions, not references.
     """
 
     def __init__(self, key: str) -> None:
         self.key = key
-        #: Bytes per synchronous DRAM access, appended by ``_dram_sync``.
-        self.tape: list[int] = []
-        #: Decision ops of a preempting recording (``(kind, arg, cycles)``
-        #: rows); stays empty for non-preempting machines.
+        #: ``(kind, arg, cycles)`` rows: every synchronous transfer, plus
+        #: the background transfers and waits of a preempting machine.
         self.dops: list[tuple[int, int, int]] = []
         self._fills = 0
-        self._cycle_ps: int | None = None
-        self._stats: dict | None = None
-        self._structure: str | None = None
+        self._plane: MissPlane | None = None
 
-    # -- decision-op taps (preempting machines only) -------------------
+    # -- decision-op taps ----------------------------------------------
 
     def sync_op(self, nbytes: int, cycles: int) -> None:
         """Record a blocking DRAM transfer at CPU cycle ``cycles``."""
@@ -404,89 +392,51 @@ class PlaneRecorder:
         """Snapshot the recording run's clock, final counters and structure.
 
         Called by :func:`~repro.systems.simulator.simulate` once the
-        recording run finalizes with the run's ``params``; validates the
-        invariants the decoupled replay arithmetic relies on.  A
-        non-preempting recording (empty decision-op tape) must show no
-        channel queueing, no background transfers and no switch on a
-        miss; a preempting recording instead proves its tape by
-        replaying it under the recording run's own Rambus timing and
-        ``cycle_ps`` and requiring it to reproduce the run's measured
-        DRAM time, stall and overlap exactly.
+        recording run finalizes with the run's ``params``.  The snapshot
+        must pass :func:`check_snapshot`, and the tape, priced by the
+        plane's :class:`~repro.trace.replay_kernel.ReplayKernel` at the
+        recording run's own Rambus timing and ``cycle_ps``, must
+        reproduce the run's measured DRAM time, stall and overlap
+        exactly.  The plane keeps that kernel for its replays.
         """
-        level_times = stats.get("level_times", {})
-        problems = []
-        if not self.dops:
-            if stats.get("switches_on_miss", 0) != 0:
-                problems.append(
-                    "switched on a miss without a decision-op tape"
-                )
-            if stats.get("dram_stall_ps", 0) != 0:
-                problems.append("nonzero dram_stall_ps")
-            if stats.get("dram_overlap_ps", 0) != 0:
-                problems.append("nonzero dram_overlap_ps")
-        if level_times.get("other", 0) != 0:
-            problems.append("nonzero level_times.other")
-        if len(self.tape) != stats.get("dram_accesses"):
-            problems.append(
-                f"tape has {len(self.tape)} entries for "
-                f"{stats.get('dram_accesses')} DRAM accesses"
+        plane = MissPlane(
+            key=self.key,
+            dops=np.array(self.dops, dtype=np.int64).reshape(-1, 3),
+            cycle_ps=int(cycle_ps),
+            stats=stats,
+            structure=structure_digest(params),
+        )
+        try:
+            check_snapshot(plane)
+            ((dram_ps, stall, overlap),) = plane.kernel().price_many(
+                [(params.dram, plane.cycle_ps)]
             )
-        for level in ("l1i", "l1d", "l2"):
-            if level_times.get(level, 0) % cycle_ps:
-                problems.append(f"level_times.{level} not a cycle multiple")
-        if self.dops and not problems:
-            syncs = [row for row in self.dops if row[0] == DOP_SYNC]
-            if len(syncs) != len(self.tape) or any(
-                row[1] != nbytes for row, nbytes in zip(syncs, self.tape)
-            ):
-                problems.append("decision-op tape disagrees with DRAM tape")
-            else:
-                columns = (
-                    [row[0] for row in self.dops],
-                    [row[1] for row in self.dops],
-                    [row[2] for row in self.dops],
-                )
-                dram_ps, stall, overlap = _replay_timeline(
-                    params.dram, int(cycle_ps), columns
-                )
-                if dram_ps != level_times.get("dram", 0):
-                    problems.append(
-                        f"tape replays to dram={dram_ps}, run measured "
-                        f"{level_times.get('dram', 0)}"
-                    )
-                if stall != stats.get("dram_stall_ps", 0):
-                    problems.append(
-                        f"tape replays to stall={stall}, run measured "
-                        f"{stats.get('dram_stall_ps', 0)}"
-                    )
-                if overlap != stats.get("dram_overlap_ps", 0):
-                    problems.append(
-                        f"tape replays to overlap={overlap}, run measured "
-                        f"{stats.get('dram_overlap_ps', 0)}"
-                    )
+        except PlaneReplayError as error:
+            raise SimulationError(str(error)) from error
+        measured = (
+            ("dram", dram_ps, stats["level_times"].get("dram", 0)),
+            ("stall", stall, stats.get("dram_stall_ps", 0)),
+            ("overlap", overlap, stats.get("dram_overlap_ps", 0)),
+        )
+        problems = [
+            f"tape prices to {name}={priced}, run measured {value}"
+            for name, priced, value in measured
+            if priced != value
+        ]
         if problems:
             raise SimulationError(
                 "recording run broke a timing-decoupling invariant: "
                 + "; ".join(problems)
             )
-        self._cycle_ps = int(cycle_ps)
-        self._stats = stats
-        self._structure = structure_digest(params)
+        self._plane = plane
 
     def finalize(self) -> MissPlane:
-        if self._cycle_ps is None or self._stats is None:
+        if self._plane is None:
             raise SimulationError(
                 "PlaneRecorder.finalize() before capture(); the recording "
                 "run's timing snapshot is part of the plane"
             )
-        return MissPlane(
-            key=self.key,
-            tape=np.array(self.tape, dtype=np.int64),
-            dops=np.array(self.dops, dtype=np.int64).reshape(-1, 3),
-            cycle_ps=self._cycle_ps,
-            stats=self._stats,
-            structure=self._structure,
-        )
+        return self._plane
 
 
 # ----------------------------------------------------------------------
@@ -516,7 +466,7 @@ def write_plane(directory: str | Path, plane: MissPlane) -> Path:
     }
     return artifacts.commit(
         directory,
-        {name: getattr(plane, name) for name, _, _ in _ARRAY_SPECS},
+        {"dops": plane.dops},
         {
             "schema": PLANE_SCHEMA,
             "key": plane.key,
@@ -535,9 +485,10 @@ def load_plane(directory: str | Path, key: str | None = None) -> MissPlane:
     """Attach to an on-disk plane; strict validation, mmap arrays.
 
     The store validates the manifest and the arrays; this checks the
-    decision-op tape's consistency with the DRAM tape and the timing
-    payload, raising :class:`CacheIntegrityError` so callers can
-    quarantine and re-record.
+    timing payload, the snapshot invariants (:func:`check_snapshot`)
+    and the tape itself by building the plane's replay kernel, raising
+    :class:`CacheIntegrityError` so callers can quarantine and
+    re-record.
     """
     manifest = read_manifest(directory)
     if key is not None and manifest.get("key") != key:
@@ -545,33 +496,16 @@ def load_plane(directory: str | Path, key: str | None = None) -> MissPlane:
             f"plane key mismatch: artifact has {manifest.get('key')!r}, "
             f"expected {key!r}"
         )
-    arrays = artifacts.load_arrays(directory, manifest, _ARRAY_SPECS)
-    tape, dops = arrays["tape"], arrays["dops"]
-    if len(dops):
-        kinds = dops[:, 0]
-        if kinds.min() < DOP_SYNC or kinds.max() > DOP_WAIT:
-            raise CacheIntegrityError("dops.npy has an unknown op kind")
-        sync_args = dops[kinds == DOP_SYNC, 1]
-        if len(sync_args) != len(tape) or not np.array_equal(sync_args, tape):
-            raise CacheIntegrityError(
-                "dops.npy synchronous transfers disagree with tape.npy"
-            )
-        fills_before = np.cumsum(kinds == DOP_BG_FILL)
-        waits = kinds == DOP_WAIT
-        if np.any(dops[waits, 1] < 0) or np.any(
-            dops[waits, 1] >= fills_before[waits]
-        ):
-            raise CacheIntegrityError("dops.npy waits on a fill not yet queued")
+    dops = artifacts.load_arrays(directory, manifest, _ARRAY_SPECS)["dops"]
+    if len(dops) and (dops[:, 0].min() < DOP_SYNC or dops[:, 0].max() > DOP_WAIT):
+        raise CacheIntegrityError("dops.npy has an unknown op kind")
     timing = manifest.get("timing")
     if not isinstance(timing, dict):
         raise CacheIntegrityError("plane manifest has no timing payload")
     if manifest.get("timing_checksum") != artifacts.json_checksum(timing):
         raise CacheIntegrityError("timing payload checksum mismatch")
-    cycle_ps = timing.get("cycle_ps")
     stats = timing.get("stats")
     structure = timing.get("structure")
-    if not isinstance(cycle_ps, int) or cycle_ps <= 0:
-        raise CacheIntegrityError(f"invalid plane cycle_ps: {cycle_ps!r}")
     if not isinstance(stats, dict):
         raise CacheIntegrityError("plane timing payload has no stats")
     if not isinstance(structure, str):
@@ -581,20 +515,17 @@ def load_plane(directory: str | Path, key: str | None = None) -> MissPlane:
         raise CacheIntegrityError(
             f"plane stats missing or non-integer counters: {', '.join(bad)}"
         )
-    if len(tape) != stats["dram_accesses"]:
-        raise CacheIntegrityError(
-            f"tape rows ({len(tape)}) disagree with "
-            f"dram_accesses ({stats['dram_accesses']})"
-        )
-    return MissPlane(
+    plane = MissPlane(
         key=str(manifest.get("key")),
-        tape=tape,
         dops=dops,
-        cycle_ps=cycle_ps,
+        cycle_ps=timing.get("cycle_ps"),
         stats=stats,
         structure=structure,
         path=Path(directory),
     )
+    check_snapshot(plane)
+    plane.kernel()  # refuses a wait on a fill not yet queued; kept for replay
+    return plane
 
 
 # ----------------------------------------------------------------------
@@ -602,21 +533,18 @@ def load_plane(directory: str | Path, key: str | None = None) -> MissPlane:
 # ----------------------------------------------------------------------
 
 def plane_nbytes(plane: MissPlane) -> int:
-    """Resident bytes of a plane's arrays (the registry's cost metric)."""
-    return sum(
-        int(np.asarray(getattr(plane, name)).nbytes)
-        for name, _, _ in _ARRAY_SPECS
-    )
+    """Resident bytes of a plane's tape (the registry's cost metric)."""
+    return int(np.asarray(plane.dops).nbytes)
 
 
 class PlaneRegistry:
     """Bounded in-process plane cache, LRU by resident bytes.
 
     Every hit skips a full artifact re-load -- manifest parse, per-array
-    SHA-256, shape validation -- plus the plane's derived caches
-    (tape counts, the replay kernel's window structure),
-    which is what makes repeated group replays by fabric workers and
-    :meth:`~repro.experiments.runner.Runner.prefetch` cheap.  Eviction
+    SHA-256, shape validation -- plus the plane's replay kernel (its
+    window structure), which is what makes repeated group replays by
+    fabric workers and :meth:`~repro.experiments.runner.Runner.prefetch`
+    cheap.  Eviction
     is least-recently-used and budgeted by array bytes rather than
     plane count, so one huge plane cannot silently pin seven others'
     worth of memory and many small planes are not evicted needlessly.
@@ -744,7 +672,6 @@ def get_plane(
         "plane_attached",
         key=key,
         path=str(path),
-        tape=len(plane.tape),
         dops=len(plane.dops),
     )
     return _REGISTRY.remember(registry_key, plane)
@@ -753,15 +680,25 @@ def get_plane(
 def commit_plane(
     plane: MissPlane, cache_dir: str | Path | None = None, events=None
 ) -> MissPlane:
-    """Register a freshly recorded plane, persisting it when caching."""
+    """Register a freshly recorded plane, persisting it when caching.
+
+    A failed commit leaves ``plane.path`` unset (see
+    :func:`repro.trace.artifacts.persist`); the plane still prices its
+    group from memory.
+    """
     events = events if events is not None else EventLog(None)
     if cache_dir is not None:
-        plane.path = write_plane(artifact_dir(cache_dir, plane.key), plane)
+        plane.path = artifacts.persist(
+            "plane",
+            plane.key,
+            artifact_dir(cache_dir, plane.key),
+            lambda directory: write_plane(directory, plane),
+            events,
+        )
     events.emit(
         "plane_recorded",
         key=plane.key,
         path=str(plane.path) if plane.path is not None else None,
-        tape=len(plane.tape),
         dops=len(plane.dops),
     )
     return _REGISTRY.remember(_registry_key(plane.key, cache_dir), plane)
@@ -828,11 +765,11 @@ def _replay_timeline(
     full simulation measures at that timing.
 
     This is the scalar equivalence oracle for the vectorized
-    :class:`~repro.trace.replay_kernel.ReplayKernel` (which replays
-    production cells); ``PlaneRecorder.capture`` self-checks every
-    preempting recording through it, and the kernel tests fuzz the
-    pair.  On a recording's tape -- cycle stamps nondecreasing, always
-    true for a real plane -- the pending-fill map stays bounded: a
+    :class:`~repro.trace.replay_kernel.ReplayKernel`, which prices every
+    production cell: the kernel tests fuzz the pair, and ``rampage-sim
+    bench --replay`` gates on them agreeing.  On a recording's tape --
+    cycle stamps nondecreasing, always true for a real plane -- the
+    pending-fill map stays bounded: a
     fill's completion time is dropped once consumed by its wait (a
     later wait on the same fill can never stall, because the first one
     left ``now`` at or past the ready time), and a synchronous
@@ -915,52 +852,9 @@ def _check_cell(params: MachineParams, plane: MissPlane) -> None:
         )
 
 
-def _validate_snapshot(plane: MissPlane) -> tuple[dict, dict, int]:
-    """Check a plane's timing snapshot against the decoupling invariants.
-
-    Returns ``(recorded_stats, level_times, recording_cycle_ps)``;
-    raises :class:`PlaneReplayError` on any violation so callers can
-    quarantine and recompute.  Preempting planes (non-empty decision-op
-    tape) legitimately carry nonzero stall/overlap -- those are
-    re-derived per cell -- while non-preempting planes must show none.
-    """
-    recorded = plane.stats
-    if not isinstance(recorded, dict):
-        raise PlaneReplayError("plane has no timing snapshot")
-    level_times = recorded.get("level_times")
-    if not isinstance(level_times, dict):
-        raise PlaneReplayError("plane timing snapshot has no level_times")
-    problems = []
-    if not len(plane.dops):
-        if recorded.get("dram_stall_ps", 0) != 0:
-            problems.append("nonzero dram_stall_ps")
-        if recorded.get("dram_overlap_ps", 0) != 0:
-            problems.append("nonzero dram_overlap_ps")
-    if level_times.get("other", 0) != 0:
-        problems.append("nonzero level_times.other")
-    if len(plane.tape) != recorded.get("dram_accesses"):
-        problems.append("tape length disagrees with dram_accesses")
-    rec_cycle = int(plane.cycle_ps)
-    if rec_cycle <= 0:
-        problems.append(f"invalid recording cycle_ps {plane.cycle_ps!r}")
-    else:
-        for level in ("l1i", "l1d", "l2"):
-            if int(level_times.get(level, 0)) % rec_cycle:
-                problems.append(f"level_times.{level} not a cycle multiple")
-    if problems:
-        raise PlaneReplayError(
-            "plane timing snapshot broke a decoupling invariant: "
-            + "; ".join(problems)
-        )
-    return recorded, level_times, rec_cycle
-
-
 def _reprice_cell(
     params: MachineParams,
     plane: MissPlane,
-    recorded: dict,
-    level_times: dict,
-    rec_cycle: int,
     dram_ps: int,
     stall_ps: int,
     overlap_ps: int,
@@ -968,28 +862,19 @@ def _reprice_cell(
     """Assemble one cell's result from its re-priced DRAM numbers."""
     from repro.systems.base import SimulationResult
 
+    rec_cycle = plane.cycle_ps
     cell_cycle = cycle_time_ps(params.issue_rate_hz)
-    stats = _stats_from_dict(recorded)
+    level_times = plane.stats["level_times"]
+    stats = _stats_from_dict(plane.stats)
     stats.dram_stall_ps = stall_ps
     stats.dram_overlap_ps = overlap_ps
     lt = stats.level_times
-    lt.l1i = (int(level_times["l1i"]) // rec_cycle) * cell_cycle
-    lt.l1d = (int(level_times["l1d"]) // rec_cycle) * cell_cycle
-    lt.l2 = (int(level_times["l2"]) // rec_cycle) * cell_cycle
+    lt.l1i = (level_times["l1i"] // rec_cycle) * cell_cycle
+    lt.l1d = (level_times["l1d"] // rec_cycle) * cell_cycle
+    lt.l2 = (level_times["l2"] // rec_cycle) * cell_cycle
     lt.dram = dram_ps
     lt.other = 0
     return SimulationResult(params=params, stats=stats)
-
-
-def _idle_price_table(dram: RambusParams, values) -> np.ndarray:
-    """Per-distinct-size idle-channel prices for a queue-free tape.
-
-    One array call over the tape's few distinct transfer sizes --
-    element-identical to pricing each size with
-    :func:`~repro.mem.dram.rambus_transfer_ps` -- shared across every
-    sibling cell with the same Rambus timing in :func:`replay_group`.
-    """
-    return rambus_transfer_ps_array(dram, np.asarray(values, dtype=np.int64))
 
 
 def replay_group(params_list, plane: MissPlane) -> list:
@@ -998,66 +883,26 @@ def replay_group(params_list, plane: MissPlane) -> list:
     Pure arithmetic -- no workload, no machine state: rescale the
     recorded per-level cycle counts to each cell's clock and re-price
     the recorded DRAM interactions under its Rambus timing (see the
-    module docstring for why this is exact).  The snapshot is validated
-    once and the tape is priced for all cells together; a single cell
-    is ``replay_group([params], plane)[0]``.  Returns, per cell, the
-    byte-identical :class:`~repro.systems.base.SimulationResult` the
-    full simulation would produce.  Raises :class:`PlaneReplayError`
-    when the snapshot breaks a decoupling invariant or any cell is
-    structurally different from the recording, so the caller can
-    quarantine and recompute.
-
-    Non-preempting planes vectorize completely: one idle-channel price
-    table per *distinct* Rambus timing (a handful of distinct transfer
-    sizes priced in one array call, shared by every cell sweeping only
-    the issue rate) multiplied into the plane's count vector prices
-    every cell with a dot product.  Preempting planes batch through
-    the plane's memoized
-    :class:`~repro.trace.replay_kernel.ReplayKernel`: the tape's
-    window segmentation is built once and
-    :meth:`~repro.trace.replay_kernel.ReplayKernel.price_many` shares
-    per-timing cost tables across the whole group -- still pure
-    arithmetic, no simulation.
+    module docstring for why this is exact).  The snapshot is checked
+    once and the plane's memoized
+    :class:`~repro.trace.replay_kernel.ReplayKernel` prices every cell
+    in one :meth:`~repro.trace.replay_kernel.ReplayKernel.price_many`
+    call, sharing per-timing cost tables across the group; a single
+    cell is ``replay_group([params], plane)[0]``.  Returns, per cell,
+    the byte-identical :class:`~repro.systems.base.SimulationResult`
+    the full simulation would produce.  Raises
+    :class:`PlaneReplayError` when the snapshot breaks a decoupling
+    invariant or any cell is structurally different from the
+    recording, so the caller can quarantine and recompute.
     """
     params_list = list(params_list)
     for params in params_list:
         _check_cell(params, plane)
-    recorded, level_times, rec_cycle = _validate_snapshot(plane)
-    results = []
-    if len(plane.dops):
-        kernel = plane.kernel()
-        priced = kernel.price_many(
-            [
-                (params.dram, cycle_time_ps(params.issue_rate_hz))
-                for params in params_list
-            ]
-        )
-        for params, (dram_ps, stall, overlap) in zip(params_list, priced):
-            results.append(
-                _reprice_cell(
-                    params, plane, recorded, level_times, rec_cycle,
-                    dram_ps, stall, overlap,
-                )
-            )
-        return results
-    values, counts = plane.tape_counts()
-    if values:
-        tables: dict[RambusParams, np.ndarray] = {}
-        dram_vec = []
-        for params in params_list:
-            table = tables.get(params.dram)
-            if table is None:
-                table = tables[params.dram] = _idle_price_table(
-                    params.dram, values
-                )
-            dram_vec.append(int(table @ counts))
-    else:
-        dram_vec = [0] * len(params_list)
-    for params, dram_ps in zip(params_list, dram_vec):
-        results.append(
-            _reprice_cell(
-                params, plane, recorded, level_times, rec_cycle,
-                int(dram_ps), 0, 0,
-            )
-        )
-    return results
+    check_snapshot(plane)
+    priced = plane.kernel().price_many(
+        [(params.dram, cycle_time_ps(params.issue_rate_hz)) for params in params_list]
+    )
+    return [
+        _reprice_cell(params, plane, *dram)
+        for params, dram in zip(params_list, priced)
+    ]

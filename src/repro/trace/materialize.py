@@ -386,8 +386,9 @@ def get_workload(
     3. fresh synthesis -- run once, committed to disk when ``cache_dir``
        is set, and registered for the rest of the process.
 
-    A corrupt artifact is quarantined and regenerated; attach errors
-    never propagate.  ``slice_refs`` is the interleaver's time slice:
+    A corrupt artifact is quarantined and regenerated, and a failed
+    commit is a ``trace_commit_failed`` event; neither propagates.
+    ``slice_refs`` is the interleaver's time slice:
     replay chunks are cut at its boundaries (see :func:`_slice_spans`).
     It shapes only the in-memory chunking, never the on-disk artifact.
     """
@@ -429,7 +430,15 @@ def get_workload(
 
     table, kinds, addrs = _synthesize(scale, seed, programs)
     if path is not None:
-        write_artifact(path, key, scale, seed, table, kinds, addrs)
+        path = artifacts.persist(
+            "trace",
+            key,
+            path,
+            lambda directory: write_artifact(
+                directory, key, scale, seed, table, kinds, addrs
+            ),
+            events,
+        )
     replay = _programs_from_arrays(table, kinds, addrs, slice_refs, chunk_refs)
     plane = MaterializedWorkload(
         key=key, programs=replay, path=path, synthesized=True

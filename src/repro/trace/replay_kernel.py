@@ -1,13 +1,12 @@
 """Vectorized decision-op replay kernel: batch-price whole plane groups.
 
-The decision-op tape of a preempting recording
-(:mod:`repro.trace.filter`) re-prices one sibling cell with the scalar
-max-plus recursion ``_replay_timeline`` -- a per-op Python loop, re-run
-from scratch for every cell of a :func:`~repro.trace.filter.replay_group`
-call, so replay cost for preempting grids scales as
-``O(cells x ops)`` in interpreted Python.  This module replaces the
-interpreter with array operations, exploiting a structural theorem
-about the recursion:
+The decision-op tape of a recording (:mod:`repro.trace.filter`)
+re-prices one sibling cell with the scalar max-plus recursion
+``_replay_timeline`` -- a per-op Python loop, which would cost
+``O(cells x ops)`` interpreted steps per
+:func:`~repro.trace.filter.replay_group` call.  This module, the one
+production pricing engine, replaces the interpreter with array
+operations, exploiting a structural theorem about the recursion:
 
 **After every synchronous transfer the channel is drained.**  A
 ``SYNC`` op ends with ``free_at == now`` (the CPU waits the transfer
@@ -28,7 +27,8 @@ every sibling cell of a group:
 * **simple windows** (no background op): the terminal ``SYNC`` sees an
   idle channel at every timing -- zero wait, plain transfer cost.  All
   simple syncs price together as one ``counts @ price_table`` dot
-  product over the tape's few distinct transfer sizes.
+  product over the tape's few distinct transfer sizes.  A
+  non-preempting machine's tape is nothing but simple windows.
 * **single-background windows** (exactly one ``BG_*``, no live
   ``WAIT``): closed form.  The background starts at its own ``now``
   (idle channel, plain cost); the terminal sync's queueing wait is
@@ -58,10 +58,12 @@ array-accepting price functions in :mod:`repro.mem.dram`) are cached by
 Rambus parameter set, so cells that sweep only the issue rate share
 tables too.  Output is byte-identical to the scalar
 ``_replay_timeline`` for every op tape and timing -- the scalar loop
-remains the equivalence oracle (``capture()`` self-checks against it,
-and the property tests in ``tests/test_replay_kernel.py`` fuzz the
-pair), and ``rampage-sim bench --replay`` gates on zero mismatches
-while recording the speedup.
+remains the equivalence oracle (the property tests in
+``tests/test_replay_kernel.py`` fuzz the pair, and ``rampage-sim bench
+--replay`` gates on zero mismatches while recording the speedup).
+``PlaneRecorder.capture`` prices every recording's tape with this
+kernel at the recording's own timing and requires the run's measured
+DRAM time, stall and overlap.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from repro.mem.dram import rambus_pipelined_ps_array, rambus_transfer_ps_array
 #: Decision-op kinds (column 0 of a ``dops`` tape).  Defined here --
 #: :mod:`repro.trace.filter` re-exports them -- so the kernel has no
 #: import cycle with the plane module.
-DOP_SYNC = 0  # blocking transfer (mirrors one tape entry, in order)
+DOP_SYNC = 0  # blocking transfer (one per DRAM access, in order)
 DOP_BG_WB = 1  # background dirty-victim writeback
 DOP_BG_FILL = 2  # background page fill; assigned the next fill ordinal
 DOP_WAIT = 3  # potential stall on fill ``arg`` (first structural touch)

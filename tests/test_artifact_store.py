@@ -6,10 +6,12 @@ by :func:`repro.trace.artifacts.quarantine`.  Each test makes one of
 the store's calls raise ``OSError`` -- the first array save, the
 manifest fsync, the commit rename, or the quarantine rename of a
 damaged artifact -- through the store's own ``np``/``os`` bindings, so
-nothing outside the store is disturbed.  A failed commit must leave
-nothing under the artifact's final name and no temp directory behind,
-and the next run over the same cache must recover to records
-byte-identical to a clean cache's.
+nothing outside the store is disturbed.  A failed commit must not stop
+the run: it reports a ``<kind>_commit_failed`` event, finishes every
+cell from the in-memory artifact, and leaves nothing under the
+artifact's final name and no temp directory behind.  Every run must
+leave records byte-identical to a clean cache's, and the next run that
+needs the artifact commits it.
 """
 
 import os
@@ -115,12 +117,20 @@ def test_failed_commit_leaves_nothing_and_the_next_run_recovers(
     binding, module, name = FAULTS[point]
     with monkeypatch.context() as patch:
         patch.setattr(artifacts, binding, Failing(module, name))
-        with pytest.raises(OSError, match=f"injected {name} failure"):
-            fill(tmp_path)
+        records, events = fill(tmp_path)
+    # The run finished every cell from the in-memory artifact.
+    assert records == clean_records
+    (failed,) = events.of(f"{layout}_commit_failed")
+    assert f"injected {name} failure" in failed["reason"]
     # Neither the artifact under its final name nor a staged temp
     # directory beside it survives the failure.
     assert sorted(path.name for path in root(tmp_path).iterdir()) == []
 
+    # Make the next run need the artifact again.
+    for path in iter_cache_files(tmp_path):
+        path.unlink()
+    if layout == "trace":
+        shutil.rmtree(missplane.plane_root(tmp_path), ignore_errors=True)
     records, events = fill(tmp_path)
     assert records == clean_records
     assert len(events.of(committed)) == 1

@@ -123,8 +123,9 @@ def test_checksum_covers_the_payload(tmp_path):
         lambda path: path.write_text(
             json.dumps({"schema": "rampage-cache/999", "record": {}}), "utf-8"
         ),
+        lambda path: path.write_bytes(b"\xff\xfe garbage"),
     ],
-    ids=["truncated", "garbage", "empty", "wrong-version"],
+    ids=["truncated", "garbage", "empty", "wrong-version", "not-utf8"],
 )
 def test_corrupt_file_is_miss_quarantine_and_recompute(tmp_path, corrupt):
     cache_dir, path, original = seeded_cache(tmp_path)

@@ -181,9 +181,11 @@ def test_cache_verify_detects_in_place_corruption(tmp_path, capsys, monkeypatch)
               "--slice-refs", "2000"]) == 0
     )
     capsys.readouterr()
-    next(iter_cache_files(tmp_path)).write_text("garbage", "utf-8")
-    assert main(["cache", "verify", "--dir", str(tmp_path)]) == 1
-    assert "CORRUPT" in capsys.readouterr().out
+    path = next(iter_cache_files(tmp_path))
+    for damage in (b"garbage", b"\xff\xfe garbage"):  # the second is not UTF-8
+        path.write_bytes(damage)
+        assert main(["cache", "verify", "--dir", str(tmp_path)]) == 1
+        assert "CORRUPT" in capsys.readouterr().out
 
 
 def test_cache_stats_summarises_directory(tmp_path, capsys, monkeypatch):
@@ -236,7 +238,7 @@ def test_cache_verify_covers_trace_and_plane_artifacts(tmp_path, capsys, monkeyp
     assert "verified 2 artifacts: 2 ok, 0 corrupt, 0 quarantined" in out
 
     # In-place damage to a plane array is reported, not ignored.
-    (plane_dirs(tmp_path)[0] / "tape.npy").write_bytes(b"torn")
+    (plane_dirs(tmp_path)[0] / "dops.npy").write_bytes(b"torn")
     assert main(["cache", "verify", "--dir", str(tmp_path)]) == 1
     assert "CORRUPT plane" in capsys.readouterr().out
 

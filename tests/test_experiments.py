@@ -169,3 +169,68 @@ class TestFigures:
         out = table1.run()
         path = out.write_to(tmp_path)
         assert path.read_text("utf-8").startswith("Table 1")
+
+
+SLOW, FAST = 200_000_000, 4_000_000_000
+
+
+class TestPaperClaims:
+    """The paper's orderings as assertions, on the fixture's grids.
+
+    Each test cites the paper's statement (quoted where the paper's
+    words are known) and names the EXPERIMENTS.md section that reports
+    the measured value.  They read only grids the other tests of
+    this module build, so they add no simulation.  A claim the reduced
+    scale distorts is a strict xfail naming the distortion, never a
+    loosened bound.
+    """
+
+    def test_rampage_best_time_beats_baseline_best_at_4ghz(self, runner):
+        """Paper, Table 3: at 4 GHz the best RAMpage time is 26% faster
+        than the best baseline.  EXPERIMENTS.md "Table 3": +15.1%."""
+        summary = {e["issue_rate_hz"]: e for e in table3.run(runner).data["summary"]}
+        assert summary[FAST]["best_rampage_s"] < summary[FAST]["best_baseline_s"]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "cold misses weigh more at reduced scale, so the 200 MHz "
+            "crossover comes later than the paper's: RAMpage measures -0.5% "
+            "(EXPERIMENTS.md, Table 3)"
+        ),
+    )
+    def test_rampage_best_time_beats_baseline_best_at_200mhz(self, runner):
+        """Paper, Table 3: at 200 MHz the best RAMpage time is 6% faster
+        than the best baseline."""
+        summary = {e["issue_rate_hz"]: e for e in table3.run(runner).data["summary"]}
+        assert summary[SLOW]["best_rampage_s"] < summary[SLOW]["best_baseline_s"]
+
+    def test_rampage_dram_fraction_is_below_baseline_at_every_size(self, runner):
+        """Paper, Figures 2-3: "the RAMpage system is more tolerant of the
+        increased DRAM latency."  EXPERIMENTS.md "Figure 2" and "Figure 3":
+        RAMpage's DRAM fraction is smaller at every size, at both rates."""
+        for figure in (run_figure2, run_figure3):
+            data = figure(runner).data
+            for base_row, ramp_row in zip(data["baseline"], data["rampage"]):
+                assert base_row["size_bytes"] == ramp_row["size_bytes"]
+                assert ramp_row["dram"] < base_row["dram"]
+
+    def test_best_switching_page_is_at_least_the_best_no_switch_page(self, runner):
+        """Paper, Table 4: with context switches on misses, larger pages
+        become more viable.  EXPERIMENTS.md "Table 4": the best switching
+        page size is at least the best no-switch size."""
+        for entry in table4.run(runner).data["summary"]:
+            assert entry["best_som_size"] >= entry["best_plain_size"]
+
+    def test_rampage_worst_page_is_the_smallest(self, runner):
+        """Paper, Table 3: RAMpage suffers at small pages (TLB overhead);
+        Figure 5: RAMpage's bad region is small pages.  EXPERIMENTS.md
+        "Table 3" and "Figure 5": the worst column is the smallest page,
+        with and without switching."""
+        smallest = min(runner.config.sizes)
+        table = table3.run(runner).data
+        for seconds in table["rampage_seconds"].values():
+            assert table["sizes"][seconds.index(max(seconds))] == smallest
+        for rate_entry in figure5.run(runner).data["rates"]:
+            worst = max(rate_entry["rows"], key=lambda row: row["rampage_som"])
+            assert worst["size_bytes"] == smallest

@@ -2,8 +2,9 @@
 
 The contract: switch-on-miss RAMpage and virtual-L1 machines -- whose
 background page transfers and preemption points used to force every
-sibling cell through a full simulation -- record a *decision-op tape*
-alongside the transfer tape, and the pure-arithmetic decoupled replay
+sibling cell through a full simulation -- record their background
+transfers and waits on the *decision-op tape* beside the blocking
+transfers every machine records, and the pure-arithmetic decoupled replay
 reproduces the full simulation **byte-for-byte** under any sibling
 issue rate and Rambus timing.  Whole groups re-price in one
 :func:`replay_group` call, and a plane refuses a cell of a structurally
@@ -49,7 +50,7 @@ from repro.trace.filter import (
     write_plane,
 )
 from repro.trace.materialize import WORKLOAD_VERSION, get_workload
-from repro.trace.replay_kernel import DOP_BG_FILL
+from repro.trace.replay_kernel import DOP_BG_FILL, DOP_SYNC
 
 SCALE = 0.0002
 SLICE_REFS = 4_000
@@ -137,10 +138,11 @@ def test_three_way_byte_identity_across_rates_and_dram(label, build):
     queued background transfers differently than the recording did)."""
     params = build(10**9, RambusParams())
     recorded, plane = record_plane(params)
-    # Preempting recordings carry a real decision-op tape; the
-    # non-switching virtual-L1 machine never queues transfers, so its
-    # plane is tape-only like any other non-preempting machine's.
-    assert (len(plane.dops) > 0) == params.switch_on_miss
+    # Preempting recordings carry background ops; the non-switching
+    # virtual-L1 machine never queues transfers, so its tape holds only
+    # blocking transfers like any other non-preempting machine's.
+    background = np.any(plane.dops[:, 0] != DOP_SYNC)
+    assert background == params.switch_on_miss
     plain = simulate(
         build(10**9, RambusParams()), programs(), slice_refs=SLICE_REFS
     )
@@ -156,7 +158,7 @@ def test_replay_group_matches_per_cell_on_tape_only_planes():
     byte-identical to each cell's own full simulation, across issue
     rates and Rambus timings."""
     _, plane = record_plane(baseline_machine(10**9, 512))
-    assert len(plane.dops) == 0
+    assert np.all(plane.dops[:, 0] == DOP_SYNC)
     cells = [
         baseline_machine(rate, 512, dram=dram)
         for rate in RATES
@@ -282,7 +284,11 @@ def test_load_plane_rejects_v1_and_v2_manifests(tmp_path):
     _, plane = record_plane(rampage_machine(10**9, 1024, switch_on_miss=True))
     path = write_plane(artifact_dir(tmp_path, plane.key), plane)
     manifest = json.loads((path / MANIFEST_NAME).read_text("utf-8"))
-    assert STALE_PLANE_SCHEMAS == ("rampage-plane/1", "rampage-plane/2")
+    assert STALE_PLANE_SCHEMAS == (
+        "rampage-plane/1",
+        "rampage-plane/2",
+        "rampage-plane/3",
+    )
     for schema in STALE_PLANE_SCHEMAS:
         manifest["schema"] = schema
         (path / MANIFEST_NAME).write_text(json.dumps(manifest), "utf-8")
@@ -295,11 +301,13 @@ def test_cache_verify_reports_stale_planes(tmp_path, capsys):
     write_plane(artifact_dir(tmp_path, plane.key), plane)
     assert main(["cache", "verify", "--dir", str(tmp_path)]) == 0
     _write_stale_plane(tmp_path, "0" * 24, "rampage-plane/2")
+    _write_stale_plane(tmp_path, "3" * 24, "rampage-plane/3")
     _write_stale_trace(tmp_path, "1" * 24)
     capsys.readouterr()
     assert main(["cache", "verify", "--dir", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert f"STALE plane {'0' * 24}" in out
+    assert f"STALE plane {'3' * 24}" in out
     assert f"STALE trace {'1' * 24}" in out
     assert "CORRUPT" not in out
 
@@ -311,9 +319,11 @@ def test_cache_purge_corrupt_only_drops_stale_planes(tmp_path):
         SCALE, SEED, cache_dir=tmp_path, slice_refs=SLICE_REFS
     ).path
     stale = _write_stale_plane(tmp_path, "0" * 24, "rampage-plane/2")
+    stale_v3 = _write_stale_plane(tmp_path, "3" * 24, "rampage-plane/3")
     stale_trace = _write_stale_trace(tmp_path, "1" * 24)
     assert main(["cache", "purge", "--corrupt-only", "--dir", str(tmp_path)]) == 0
     assert not stale.exists()
+    assert not stale_v3.exists()
     assert not stale_trace.exists()
     assert live.exists()
     assert live_trace.exists()
@@ -338,13 +348,28 @@ def test_preempting_plane_snapshot_carries_overlap():
 
 
 def test_capture_refuses_switching_run_without_decision_ops():
-    """A run that switched on a miss cannot be priced from the DRAM
-    tape alone, so a recorder that captured no decision ops for it is
-    refused at capture."""
+    """A run that switched on a miss queued one background fill per
+    switch, so a recorder that captured no such ops for it is refused
+    at capture."""
     params = rampage_machine(10**9, 1024, switch_on_miss=True)
     stats = {"switches_on_miss": 1, "dram_accesses": 0, "level_times": {}}
-    with pytest.raises(SimulationError, match="without a decision-op tape"):
+    with pytest.raises(SimulationError, match="0 BG_FILL rows for switches_on_miss=1"):
         PlaneRecorder("synthetic").capture(1_000, stats, params)
+
+
+def test_capture_refuses_plain_run_whose_dram_time_disagrees_with_its_tape():
+    """A non-preempting recording is proved like a preempting one: its
+    tape, priced at the recording's own timing, must reproduce the
+    measured DRAM time to the picosecond."""
+    params = baseline_machine(10**9, 512)
+    recorder = PlaneRecorder(plane_key(params, SCALE, SEED, SLICE_REFS))
+    result = simulate(params, programs(), slice_refs=SLICE_REFS, record_plane=recorder)
+    cycle_ps = recorder.finalize().cycle_ps
+    stats = result.stats.as_dict()
+    level_times = stats["level_times"]
+    stats["level_times"] = dict(level_times, dram=level_times["dram"] + 1)
+    with pytest.raises(SimulationError, match="tape prices to dram="):
+        recorder.capture(cycle_ps, stats, params)
 
 
 def test_dop_tape_scales_with_rambus_timing():
@@ -360,4 +385,3 @@ def test_dop_tape_scales_with_rambus_timing():
     # outside the cycle counter, so decision points land on identical
     # cycles whatever the Rambus part costs.
     assert np.array_equal(plane_a.dops, plane_b.dops)
-    assert np.array_equal(plane_a.tape, plane_b.tape)

@@ -253,7 +253,6 @@ def test_negative_wait_ordinal_raises_in_both_engines():
 def test_miss_plane_kernel_wraps_malformed_tape_as_replay_error():
     plane = missplane.MissPlane(
         key="synthetic",
-        tape=np.zeros(0, dtype=np.int64),
         cycle_ps=1_000,
         stats={},
         structure="",
@@ -266,7 +265,6 @@ def test_miss_plane_kernel_wraps_malformed_tape_as_replay_error():
 def test_miss_plane_kernel_is_memoized():
     plane = missplane.MissPlane(
         key="synthetic",
-        tape=np.zeros(0, dtype=np.int64),
         cycle_ps=1_000,
         stats={},
         structure="",

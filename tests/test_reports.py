@@ -187,13 +187,15 @@ def test_corrupt_record_is_a_gap_and_stays_on_disk(warm, tmp_path):
     config = replace(warm, cache_dir=cache_copy)
     victim = build_report("rampage", config).cells[0]
     path = find_record(cache_copy, victim.key)
-    path.write_text("not json {", encoding="utf-8")
-    report = build_report("rampage", config)
-    assert report.present == report.total - 1
-    assert [cell.key for cell in report.missing()] == [victim.key]
-    # Read-only contract: the bad file is NOT quarantined or renamed.
-    assert find_record(cache_copy, victim.key) == path
-    assert path.exists()
+    for damage in (b"not json {", b"\xff\xfe garbage"):  # the second is not UTF-8
+        path.write_bytes(damage)
+        report = build_report("rampage", config)
+        assert report.present == report.total - 1
+        assert [cell.key for cell in report.missing()] == [victim.key]
+        # Read-only contract: the bad file is NOT quarantined or renamed.
+        assert find_record(cache_copy, victim.key) == path
+        assert path.exists()
+        assert cache_status(cache_copy)["undecodable"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -229,27 +229,27 @@ def test_plane_round_trips_through_disk(tmp_path):
     assert attached.key == plane.key
     assert attached.cycle_ps == plane.cycle_ps
     assert attached.stats == plane.stats
-    assert list(attached.tape) == list(plane.tape)
+    assert attached.dops.tolist() == plane.dops.tolist()
     cells = [baseline_machine(rate, 512) for rate in RATES]
     for a, b in zip(replay_group(cells, attached), replay_group(cells, plane)):
         assert a.stats.as_dict() == b.stats.as_dict()
 
 
-def test_committed_plane_holds_only_the_two_tapes(tmp_path):
-    """A plane is its DRAM tape, its decision-op tape and a manifest --
-    nothing the decoupled replay does not read."""
+def test_committed_plane_holds_only_the_decision_op_tape(tmp_path):
+    """A plane is its decision-op tape and a manifest -- nothing the
+    decoupled replay does not read."""
     _, plane = record_plane(rampage_machine(10**9, 1024, switch_on_miss=True))
     committed = commit_plane(plane, cache_dir=tmp_path)
     names = sorted(path.name for path in Path(committed.path).iterdir())
-    assert names == ["dops.npy", MANIFEST_NAME, "tape.npy"]
+    assert names == ["dops.npy", MANIFEST_NAME]
 
 
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda path: (path / "tape.npy").write_bytes(b"torn"),
+        lambda path: (path / "dops.npy").write_bytes(b"torn"),
         lambda path: (path / MANIFEST_NAME).write_text("{ torn", "utf-8"),
-        lambda path: (path / "tape.npy").unlink(),
+        lambda path: (path / "dops.npy").unlink(),
     ],
     ids=["truncated-tape", "torn-manifest", "missing-tape"],
 )
@@ -331,7 +331,7 @@ def test_runner_survives_invariant_tripping_plane(tmp_path):
     pkey = plane_key(params, SCALE, SEED, SLICE_REFS)
     _, plane = record_plane(params)
     poisoned = dict(plane.stats)
-    poisoned["dram_stall_ps"] = 1  # decoupling says this is always 0
+    poisoned["dram_accesses"] += 1  # one more than the tape's SYNC rows
     plane.stats = poisoned
     commit_plane(plane, cache_dir=tmp_path)
 
