@@ -440,7 +440,10 @@ def _cache_stats(cache_dir: Path, args: argparse.Namespace) -> int:
     if manifest is not None:
         counters = manifest.get("cache", {})
         summary = ", ".join(f"{k}={v}" for k, v in sorted(counters.items()))
-        print(f"last sweep manifest: grids={manifest.get('grids')} {summary}")
+        print(
+            f"manifest (last run that stored or quarantined a record): "
+            f"grids={manifest.get('grids')} {summary}"
+        )
     return 0
 
 

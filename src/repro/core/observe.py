@@ -20,9 +20,9 @@ runners three small instruments:
 * :class:`CacheStats` -- per-runner counters over the cache layers
   (memory hits, disk hits, misses, stores, quarantines, evictions).
 * a cache **manifest** -- one JSON summary per cache directory, written
-  atomically under ``<cache_dir>/_meta/manifest.json`` after every
-  completed sweep, so ``rampage-sim cache stats`` can answer "what
-  happened here" without replaying the event log.
+  atomically under ``<cache_dir>/_meta/manifest.json`` by a run that
+  stored or quarantined a record, so ``rampage-sim cache stats`` can
+  answer "what happened here" without replaying the event log.
 
 :func:`atomic_write_text` is the shared crash-safety primitive: write
 to a temp file in the destination directory, fsync, then ``os.replace``

@@ -70,6 +70,8 @@ class CellSpec:
 
     label: str
     params: MachineParams
+    #: The cell's run-record cache key.
+    key: str
     scale: float
     slice_refs: int
     seed: int
@@ -165,11 +167,12 @@ class ParallelRunner(Runner):
     # Pending-cell enumeration
     # ------------------------------------------------------------------
 
-    def _cell_spec(self, label: str, params: MachineParams) -> CellSpec:
+    def _cell_spec(self, label: str, params: MachineParams, key: str) -> CellSpec:
         config = self.config
         return CellSpec(
             label=label,
             params=params,
+            key=key,
             scale=config.scale,
             slice_refs=config.slice_refs,
             seed=config.seed,
@@ -179,8 +182,8 @@ class ParallelRunner(Runner):
     def pending_cells(self, labels: Sequence[str]) -> list[CellSpec]:
         """Grid cells of ``labels`` not yet in either cache layer."""
         return [
-            self._cell_spec(label, params)
-            for label, params in self._pending_grid_cells(list(labels))
+            self._cell_spec(label, params, key)
+            for label, params, key in self._pending_grid_cells(list(labels))
         ]
 
     # ------------------------------------------------------------------
@@ -266,11 +269,7 @@ class ParallelRunner(Runner):
                 except Exception:
                     # Degrade: drop the cells the pool finished before
                     # dying; their progress callbacks already fired.
-                    serial = [
-                        spec
-                        for spec in pending
-                        if self._lookup(self._cache_key(spec.params)) is None
-                    ]
+                    serial = [spec for spec in pending if self._lookup(spec.key) is None]
                     done = total - len(serial)
 
             def advance(record: RunRecord) -> None:
@@ -280,7 +279,7 @@ class ParallelRunner(Runner):
                     self.progress(done, total, record)
 
             self._replay_cells(
-                [(spec.label, spec.params) for spec in serial],
+                [(spec.label, spec.params, spec.key) for spec in serial],
                 on_record=advance,
             )
         self.events.emit(
@@ -305,10 +304,10 @@ class ParallelRunner(Runner):
                 # A cell the pool computed was by definition a miss;
                 # the serial path counts these in _finish_cell().
                 self.cache_stats.misses += 1
-                self._store(self._cache_key(spec.params), record)
+                self._store(spec.key, record)
                 self.events.emit(
                     "cell_completed",
-                    key=self._cache_key(spec.params),
+                    key=spec.key,
                     label=record.label,
                     mode="recorded" if spec.plane_key is not None else "full",
                     wall_s=round(wall_s, 6),

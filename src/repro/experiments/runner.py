@@ -38,6 +38,7 @@ label              machine
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -104,6 +105,66 @@ GRID_BUILDERS: dict[str, Callable[[int, int], MachineParams]] = {
     "twoway": lambda rate, size: twoway_machine(rate, size),
 }
 
+#: How many grid cells the process-wide plan memo keeps (about 1.6 KiB
+#: each).  The paper's five grids at one workload are 90 cells.
+PLAN_MEMO_CELLS = 1024
+
+
+# ----------------------------------------------------------------------
+# Cell plan: every grid cell's machine and cache key
+# ----------------------------------------------------------------------
+
+
+def _cache_key(params: MachineParams, scale: float, slice_refs: int, seed: int) -> str:
+    """The run-record cache key of ``params`` over one workload.
+
+    The one key derivation: the runner, the service's job planner (job
+    ids hash these keys) and the report builder all reach it, the last
+    two through :func:`grid_plan`.  The text keeps each knob's spelling,
+    so ``scale=1`` and ``scale=1.0`` are different keys.
+    """
+    blob = "|".join(
+        (
+            WORKLOAD_VERSION,
+            repr(params),
+            f"scale={scale}",
+            f"slice={slice_refs}",
+            f"seed={seed}",
+        )
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
+
+
+@functools.lru_cache(maxsize=PLAN_MEMO_CELLS, typed=True)
+def _plan_cell(
+    label: str, rate: int, size: int, scale: float, slice_refs: int, seed: int
+) -> tuple[MachineParams, str]:
+    """One grid cell's machine and cache key, built and hashed once.
+
+    ``typed=True`` keeps ``scale=1`` and ``scale=1.0`` apart, so a key
+    never depends on which spelling this process met first.
+    """
+    params = GRID_BUILDERS[label](rate, size)
+    return params, _cache_key(params, scale, slice_refs, seed)
+
+
+def grid_plan(label: str, config: ExperimentConfig) -> list[tuple[MachineParams, str]]:
+    """``label``'s cells under ``config``, in grid order, as ``(params, key)``.
+
+    Served from a process-wide memo, so planning a job, building a
+    report and loading a grid cost one builder call and one hash per
+    cell per process.
+    """
+    if label not in GRID_BUILDERS:
+        raise ConfigurationError(
+            f"unknown grid {label!r}; known: {sorted(GRID_BUILDERS)}"
+        )
+    return [
+        _plan_cell(label, rate, size, config.scale, config.slice_refs, config.seed)
+        for rate in config.issue_rates
+        for size in config.sizes
+    ]
+
 
 # ----------------------------------------------------------------------
 # Cache-file envelope
@@ -168,8 +229,13 @@ def shard_prefix(key: str) -> str:
 
 
 def record_path(cache_dir: str | Path, key: str) -> Path:
-    """The on-disk location of ``key``'s record: ``shards/<prefix>/<key>.json``."""
-    return Path(cache_dir) / SHARD_DIRNAME / shard_prefix(key) / f"{key}.json"
+    """The on-disk location of ``key``'s record: ``shards/<prefix>/<key>.json``.
+
+    Joined as a string, not with pathlib: every warm cell pays for it.
+    """
+    return Path(
+        os.path.join(cache_dir, SHARD_DIRNAME, shard_prefix(key), key + ".json")
+    )
 
 
 def find_record(cache_dir: str | Path, key: str) -> Path | None:
@@ -179,7 +245,7 @@ def find_record(cache_dir: str | Path, key: str) -> Path | None:
     by a pre-shard cache misses, and its cell is recomputed.
     """
     path = record_path(cache_dir, key)
-    return path if path.exists() else None
+    return path if os.path.exists(path) else None
 
 
 def iter_cache_files(cache_dir: str | Path) -> Iterator[Path]:
@@ -223,6 +289,8 @@ class Runner:
         self.config = config if config is not None else ExperimentConfig.from_env()
         self.events = events if events is not None else EventLog(self.config.event_log)
         self.cache_stats = CacheStats()
+        #: ``(stores, quarantined)`` when the manifest was last written.
+        self._manifest_changes = (0, 0)
         self._memory: dict[str, RunRecord] = {}
         self._grids: dict[str, RunGrid] = {}
         self._programs: list | None = None
@@ -248,31 +316,6 @@ class Runner:
     # ------------------------------------------------------------------
     # Single cells
     # ------------------------------------------------------------------
-
-    def _cache_key(self, params: MachineParams) -> str:
-        config = self.config
-        blob = "|".join(
-            (
-                WORKLOAD_VERSION,
-                repr(params),
-                f"scale={config.scale}",
-                f"slice={config.slice_refs}",
-                f"seed={config.seed}",
-            )
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
-
-    def _cache_path(self, key: str) -> Path | None:
-        """Where a *new* record for ``key`` commits (sharded layout)."""
-        if self.config.cache_dir is None:
-            return None
-        return record_path(self.config.cache_dir, key)
-
-    def _find_cached(self, key: str) -> Path | None:
-        """Where an *existing* record lives, across both cache layouts."""
-        if self.config.cache_dir is None:
-            return None
-        return find_record(self.config.cache_dir, key)
 
     def _quarantine(self, key: str, path: Path, error: CacheIntegrityError) -> None:
         """Move a failed cache file aside and log the event."""
@@ -302,7 +345,8 @@ class Runner:
         if cached is not None:
             self.cache_stats.hits_memory += 1
             return cached
-        path = self._find_cached(key)
+        cache_dir = self.config.cache_dir
+        path = None if cache_dir is None else find_record(cache_dir, key)
         if path is None:
             return None
         try:
@@ -320,9 +364,9 @@ class Runner:
     def _store(self, key: str, record: RunRecord) -> None:
         """Commit a record to both cache layers (disk commit is atomic)."""
         self._memory[key] = record
-        path = self._cache_path(key)
-        if path is not None:
-            atomic_write_text(path, encode_cache_entry(record))
+        cache_dir = self.config.cache_dir
+        if cache_dir is not None:
+            atomic_write_text(record_path(cache_dir, key), encode_cache_entry(record))
             self.cache_stats.stores += 1
 
     def record(self, label: str, params: MachineParams) -> RunRecord:
@@ -334,14 +378,19 @@ class Runner:
         always carries the label the caller asked for.  A miss is a
         one-cell sweep through :meth:`_replay_cells`.
         """
-        key = self._cache_key(params)
+        config = self.config
+        key = _cache_key(params, config.scale, config.slice_refs, config.seed)
+        return self._record(label, params, key)
+
+    def _record(self, label: str, params: MachineParams, key: str) -> RunRecord:
+        """:meth:`record` for a cell whose ``key`` is already known."""
         cached = self._lookup(key)
         if cached is not None:
             if cached.label != label:
                 cached = replace(cached, label=label)
             return cached
         computed: list[RunRecord] = []
-        self._replay_cells([(label, params)], on_record=computed.append)
+        self._replay_cells([(label, params, key)], on_record=computed.append)
         return computed[0]
 
     # ------------------------------------------------------------------
@@ -350,44 +399,43 @@ class Runner:
 
     def _pending_grid_cells(
         self, labels: list[str] | tuple[str, ...]
-    ) -> list[tuple[str, MachineParams]]:
+    ) -> list[tuple[str, MachineParams, str]]:
         """Grid cells of ``labels`` absent from both cache layers.
 
-        De-duplicated by cache key, so a machine shared between two
-        labels' grids is only computed once.
+        Each is ``(label, params, key)``.  De-duplicated by cache key,
+        so a machine shared between two labels' grids is only computed
+        once.
         """
-        pending: list[tuple[str, MachineParams]] = []
+        pending: list[tuple[str, MachineParams, str]] = []
         seen: set[str] = set()
         for label in labels:
-            for params in self.grid_params(label):
-                key = self._cache_key(params)
+            for params, key in grid_plan(label, self.config):
                 if key in seen or self._lookup(key) is not None:
                     continue
                 seen.add(key)
-                pending.append((label, params))
+                pending.append((label, params, key))
         return pending
 
     def _replay_cells(
         self,
-        cells: list[tuple[str, MachineParams]],
+        cells: list[tuple[str, MachineParams, str]],
         on_record: Callable[[RunRecord], None] | None = None,
     ) -> None:
         """Compute the cache-missing ``cells``, whole plane groups at a time.
 
-        Plane-eligible cells are grouped by miss-plane key and each
-        group goes through :meth:`_replay_plane_group`; every other
-        cell is one full simulation.  ``on_record`` fires once per
-        finished cell, in completion order.
+        Each cell is ``(label, params, key)``.  Plane-eligible cells are
+        grouped by miss-plane key and each group goes through
+        :meth:`_replay_plane_group`; every other cell is one full
+        simulation.  ``on_record`` fires once per finished cell, in
+        completion order.
         """
         config = self.config
         groups: dict[str | None, list[tuple[str, MachineParams, str]]] = {}
-        for label, params in cells:
+        for label, params, key in cells:
             pkey = None
             if plane_eligible(params):
                 pkey = plane_key(params, config.scale, config.seed, config.slice_refs)
-            groups.setdefault(pkey, []).append(
-                (label, params, self._cache_key(params))
-            )
+            groups.setdefault(pkey, []).append((label, params, key))
         for pkey, members in groups.items():
             if pkey is None:
                 for member in members:
@@ -523,14 +571,19 @@ class Runner:
     def write_cache_manifest(self) -> Path | None:
         """Summarise the cache directory into its manifest (atomic).
 
-        Returns the manifest path, or ``None`` when caching is off.
+        Only a runner that stored or quarantined a record since its last
+        write rewrites it, so a grid served from the cache leaves every
+        file under the cache directory as it found it.  Returns the
+        manifest path, or ``None`` when caching is off or nothing
+        changed.
         """
         cache_dir = self.config.cache_dir
-        if cache_dir is None:
+        changes = (self.cache_stats.stores, self.cache_stats.quarantined)
+        if cache_dir is None or changes == self._manifest_changes:
             return None
         entries = sum(1 for _ in iter_cache_files(cache_dir))
         quarantined = sum(1 for _ in iter_quarantined_files(cache_dir))
-        return write_manifest(
+        path = write_manifest(
             cache_dir,
             {
                 "workload_version": WORKLOAD_VERSION,
@@ -541,6 +594,8 @@ class Runner:
                 "quarantined_files": quarantined,
             },
         )
+        self._manifest_changes = changes
+        return path
 
     # ------------------------------------------------------------------
     # Grids
@@ -548,25 +603,22 @@ class Runner:
 
     def grid_params(self, label: str) -> list[MachineParams]:
         """The machine of every cell in ``label``'s sweep, in grid order."""
-        builder = GRID_BUILDERS.get(label)
-        if builder is None:
-            raise ConfigurationError(
-                f"unknown grid {label!r}; known: {sorted(GRID_BUILDERS)}"
-            )
-        return [
-            builder(rate, size)
-            for rate in self.config.issue_rates
-            for size in self.config.sizes
-        ]
+        return [params for params, _key in grid_plan(label, self.config)]
 
     def grid(self, label: str) -> RunGrid:
-        """Return (building on demand) the sweep grid for ``label``."""
+        """Return (building on demand) the sweep grid for ``label``.
+
+        The prefetch and the assembly read the same memoized
+        :func:`grid_plan` pairs, so a warm cell costs one verified
+        record read and no key derivation.
+        """
         if label in self._grids:
             return self._grids[label]
+        plan = grid_plan(label, self.config)
         self.prefetch([label])
         grid = RunGrid(label)
-        for params in self.grid_params(label):
-            grid.add(self.record(label, params))
+        for params, key in plan:
+            grid.add(self._record(label, params, key))
         self._grids[label] = grid
         self.write_cache_manifest()
         return grid

@@ -26,12 +26,11 @@ from dataclasses import dataclass, replace
 from repro.analysis.figures_svg import FIGURE_GRID_LABELS
 from repro.analysis.runtime import RunGrid, RunRecord
 from repro.core.errors import CacheIntegrityError, ConfigurationError
-from repro.core.observe import EventLog
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     GRID_BUILDERS,
-    Runner,
     find_record,
+    grid_plan,
     read_cache_entry,
 )
 
@@ -166,20 +165,19 @@ def build_report(name: str, config: ExperimentConfig) -> GridReport:
     """Resolve ``name`` to its cells and load whatever records exist.
 
     Raises :class:`ConfigurationError` for an unknown report name (the
-    HTTP layer maps that to a 404).  Never simulates: the throwaway
-    runner is used purely for grid enumeration and cache-key
-    derivation, exactly like the service's job planner.
+    HTTP layer maps that to a 404).  Never simulates: the cells and
+    their keys come from the runner's cell plan
+    (:func:`~repro.experiments.runner.grid_plan`), exactly like the
+    service's job planner.
     """
     labels = REPORT_LABELS.get(name)
     if labels is None:
         raise ConfigurationError(
             f"unknown report {name!r}; known: {report_names()}"
         )
-    runner = Runner(config, events=EventLog(None))
     cells: list[ReportCell] = []
     for label in labels:
-        for params in runner.grid_params(label):
-            key = runner._cache_key(params)
+        for params, key in grid_plan(label, config):
             cells.append(
                 ReportCell(
                     label=label,

@@ -152,7 +152,7 @@ def _execute_group(
 
     runner.events.subscribe(on_runner_event)
     try:
-        runner._replay_cells([(cell.label, cell.params) for cell in todo])
+        runner._replay_cells([(cell.label, cell.params, cell.key) for cell in todo])
     finally:
         runner.events.unsubscribe(on_runner_event)
     return recorded + len(todo)

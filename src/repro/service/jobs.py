@@ -62,9 +62,8 @@ except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
 from repro.core.errors import ConfigurationError
-from repro.core.observe import EventLog
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import GRID_BUILDERS, Runner
+from repro.experiments.runner import GRID_BUILDERS, grid_plan
 from repro.trace.benchmarks import TABLE2_PROGRAMS
 
 #: Journal schema tag, embedded in every line for forward compatibility.
@@ -255,17 +254,16 @@ class PlannedCell:
 def plan_cells(spec: JobSpec, base: ExperimentConfig) -> list[PlannedCell]:
     """Enumerate the job's cells, de-duplicated by cache key.
 
-    Uses a throwaway :class:`Runner` purely for its key derivation and
-    grid enumeration -- no workload is synthesized and nothing touches
-    the cache.  Deterministic, so recovery can re-derive the same plan
-    from the journalled spec.
+    Reads the runner's cell plan
+    (:func:`~repro.experiments.runner.grid_plan`): no workload is
+    synthesized and nothing touches the cache.  Deterministic, so
+    recovery can re-derive the same plan from the journalled spec.
     """
-    runner = Runner(spec.experiment_config(base), events=EventLog(None))
+    config = spec.experiment_config(base)
     cells: list[PlannedCell] = []
     seen: set[str] = set()
     for label in spec.labels:
-        for params in runner.grid_params(label):
-            key = runner._cache_key(params)
+        for params, key in grid_plan(label, config):
             if key in seen:
                 continue
             seen.add(key)

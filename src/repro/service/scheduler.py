@@ -315,7 +315,6 @@ class SweepScheduler:
                 if runner._lookup(cell.key) is not None:
                     self._cell_done(job, cell.key, "cached")
             runner.prefetch(job.spec.labels)
-            runner.write_cache_manifest()
             done = self.store.mark_completed(job.id)
             self._broadcast(
                 job.id,

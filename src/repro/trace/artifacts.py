@@ -11,7 +11,11 @@ validated and quarantined by one implementation (``docs/cache.md``):
   array, records each array's row count and SHA-256 in the manifest,
   fsyncs the manifest and ``os.rename``\\ s the directory into place.
   Artifact bytes are deterministic, so losing a concurrent race is
-  benign: the loser discards its copy and keeps the winner's.
+  benign: the loser discards its copy and keeps the winner's, once the
+  winner's arrays hash to the loser's checksums.  A directory that
+  fails that check is a damaged artifact whose quarantine failed; the
+  commit moves it aside (or removes it) and puts the fresh copy in its
+  place.
   :func:`persist` is how callers commit: a failed commit (a full disk, a
   read-only cache) is a ``<kind>_commit_failed`` event, never an abort,
   because the caller still holds the fresh artifact in memory.
@@ -115,6 +119,10 @@ def commit(directory: str | Path, arrays: dict[str, np.ndarray], manifest: dict)
     adds the workload version, each array's row count (under its name)
     and the ``checksums`` table (by file name).  A failure leaves
     nothing under the final name and no temp directory behind.
+
+    When ``directory`` already exists, its copy is kept only if its
+    arrays match ``checksums``; otherwise it is quarantined, or removed
+    when that rename fails too, and replaced.
     """
     directory = Path(directory)
     directory.parent.mkdir(parents=True, exist_ok=True)
@@ -139,10 +147,25 @@ def commit(directory: str | Path, arrays: dict[str, np.ndarray], manifest: dict)
         except OSError:
             if not (directory / MANIFEST_NAME).exists():
                 raise
-            # Lost the race to an identical artifact; keep theirs.
+            if not _holds(directory, checksums):
+                if quarantine(directory) == directory:
+                    shutil.rmtree(directory)
+                os.rename(tmp, directory)
+            # Otherwise we lost the race to an identical artifact; keep theirs.
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return directory
+
+
+def _holds(directory: Path, checksums: dict[str, str]) -> bool:
+    """Whether every array file in ``directory`` hashes to ``checksums``."""
+    try:
+        return all(
+            file_checksum(directory / filename) == digest
+            for filename, digest in checksums.items()
+        )
+    except OSError:
+        return False
 
 
 def persist(

@@ -4,6 +4,8 @@ Importable as ``from helpers import ...`` because pytest (rootdir mode,
 no ``__init__.py``) puts this directory on ``sys.path``.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from repro.core.params import KIB
@@ -24,3 +26,21 @@ def random_chunks(seed, n_chunks=6, chunk_len=400):
         ).astype(np.uint64)
         chunks.append(TraceChunk(pid=i % 3, kinds=kinds, addrs=addrs))
     return chunks
+
+
+def tree_state(root) -> dict[str, tuple[int, int, int]]:
+    """Every path under ``root``: its size, inode and ``st_mtime_ns``.
+
+    Two equal states mean nothing under ``root`` was written, replaced,
+    added or removed in between.
+    """
+    root = Path(root)
+    state = {}
+    for path in sorted(root.rglob("*")):
+        info = path.stat()
+        state[str(path.relative_to(root))] = (
+            info.st_size,
+            info.st_ino,
+            info.st_mtime_ns,
+        )
+    return state

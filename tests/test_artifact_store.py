@@ -11,7 +11,8 @@ the run: it reports a ``<kind>_commit_failed`` event, finishes every
 cell from the in-memory artifact, and leaves nothing under the
 artifact's final name and no temp directory behind.  Every run must
 leave records byte-identical to a clean cache's, and the next run that
-needs the artifact commits it.
+needs the artifact commits it.  A damaged artifact whose quarantine
+rename failed is replaced by the fresh commit, so it is rebuilt once.
 """
 
 import os
@@ -163,3 +164,14 @@ def test_failed_quarantine_rename_still_treats_the_artifact_as_a_miss(
     assert quarantined["path"] == str(artifact)  # the rename failed; it stayed
     assert "checksum mismatch" in quarantined["reason"]
     assert len(events.of(committed)) == 1
+
+    # The fresh commit replaced the damaged directory, so a run that
+    # needs the artifact again attaches it: no quarantine, no rebuild.
+    for path in iter_cache_files(tmp_path):
+        path.unlink()
+    if layout == "trace":
+        shutil.rmtree(missplane.plane_root(tmp_path))
+    records, events = fill(tmp_path)
+    assert records == clean_records
+    assert events.of(f"{layout}_quarantined") == []
+    assert events.of(committed) == []

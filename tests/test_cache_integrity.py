@@ -9,11 +9,14 @@ share one cache directory.
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from helpers import tree_state
 
 from repro.analysis.runtime import RunRecord
+from repro.core import observe
 from repro.core.errors import CacheIntegrityError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
@@ -28,6 +31,8 @@ from repro.experiments.runner import (
     record_checksum,
 )
 from repro.systems.factory import baseline_machine
+from repro.trace import filter as missplane
+from repro.trace import materialize
 from repro.trace.filter import PLANE_DIRNAME
 from repro.trace.materialize import TRACE_DIRNAME
 
@@ -273,3 +278,104 @@ def test_encode_is_deterministic():
         stats={"level_times": {"l1i": 1}},
     )
     assert encode_cache_entry(record) == encode_cache_entry(record)
+
+
+# ----------------------------------------------------------------------
+# Warm grids and the manifest
+# ----------------------------------------------------------------------
+
+
+def grid_config(cache_dir):
+    """Two cells of one plane group: one recorded, one replayed."""
+    return replace(config(cache_dir), issue_rates=(10**9, 4 * 10**9))
+
+
+def fill(cache_dir) -> Runner:
+    """One ``baseline`` grid run, as a fresh process would make it."""
+    materialize.clear_registry()
+    missplane.clear_registry()
+    runner = Runner(grid_config(cache_dir))
+    runner.grid("baseline")
+    return runner
+
+
+def record_bytes(cache_dir) -> dict[str, bytes]:
+    return {path.stem: path.read_bytes() for path in iter_cache_files(cache_dir)}
+
+
+@pytest.fixture(scope="module")
+def clean_grid(tmp_path_factory):
+    """The record bytes of a ``baseline`` grid filled without faults."""
+    cache_dir = tmp_path_factory.mktemp("clean")
+    fill(cache_dir)
+    records = record_bytes(cache_dir)
+    assert len(records) == 2
+    return records
+
+
+def test_warm_grid_leaves_the_cache_directory_untouched(tmp_path):
+    fill(tmp_path)
+    before = tree_state(tmp_path)
+    warm = fill(tmp_path)
+    assert warm.cache_stats.hits_disk == 2
+    assert tree_state(tmp_path) == before
+    assert warm.write_cache_manifest() is None
+
+
+def test_grid_that_quarantines_a_record_rewrites_the_manifest(tmp_path):
+    fill(tmp_path)
+    next(iter_cache_files(tmp_path)).write_text("torn", "utf-8")
+    fill(tmp_path)
+    manifest = observe.read_manifest(tmp_path)
+    assert manifest["quarantined_files"] == 1
+    assert manifest["cache"]["quarantined"] == 1
+    assert manifest["entries"] == 2
+
+
+class FailingCall:
+    """``module`` whose function ``name`` raises ``OSError`` on call ``nth``."""
+
+    def __init__(self, module, name: str, nth: int) -> None:
+        self._module = module
+        self._name = name
+        self._nth = nth
+        self.calls = 0
+
+    def __getattr__(self, attr: str):
+        real = getattr(self._module, attr)
+        if attr != self._name:
+            return real
+
+        def call(*args, **kwargs):
+            self.calls += 1
+            if self.calls == self._nth:
+                raise OSError(f"injected {attr} failure")
+            return real(*args, **kwargs)
+
+        return call
+
+
+@pytest.mark.parametrize("nth", [1, 2])
+@pytest.mark.parametrize("point", ["fsync", "replace"])
+def test_failed_record_commit_ends_the_run_and_the_next_run_recovers(
+    tmp_path, monkeypatch, clean_grid, point, nth
+):
+    """A record commit that fails at its fsync or its rename ends the
+    run with that ``OSError``.  It leaves no torn ``<key>.json`` and no
+    temp file, so a fresh run writes the clean bytes and quarantines
+    nothing."""
+    with monkeypatch.context() as patch:
+        # Only record and manifest commits go through this binding, and
+        # the manifest is written after the grid's records.
+        patch.setattr(observe, "os", FailingCall(os, point, nth))
+        with pytest.raises(OSError, match=f"injected {point} failure"):
+            fill(tmp_path)
+    shard_files = [p for p in (tmp_path / SHARD_DIRNAME).rglob("*") if p.is_file()]
+    assert [p.name for p in shard_files if p.name.startswith(".")] == []
+    committed = record_bytes(tmp_path)
+    assert len(committed) == nth - 1
+    assert all(clean_grid[key] == blob for key, blob in committed.items())
+
+    runner = fill(tmp_path)
+    assert record_bytes(tmp_path) == clean_grid
+    assert runner.events.of("cache_quarantined") == []

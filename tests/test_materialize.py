@@ -19,7 +19,12 @@ from repro.analysis.runtime import RunRecord
 from repro.core.errors import CacheIntegrityError
 from repro.core.observe import EventLog
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import Runner, encode_cache_entry, iter_cache_files
+from repro.experiments.runner import (
+    Runner,
+    encode_cache_entry,
+    grid_plan,
+    iter_cache_files,
+)
 from repro.systems.simulator import Simulator, simulate
 from repro.trace import materialize
 from repro.trace.benchmarks import table2_catalog
@@ -408,14 +413,15 @@ def test_materialized_runner_cache_bytes_identical_to_legacy(tmp_path):
     runner = Runner(runner_config(tmp_path))
     runner.grid("rampage")
     files = {path.stem: path for path in iter_cache_files(tmp_path)}
-    assert len(files) == len(runner.grid_params("rampage"))
-    for params in runner.grid_params("rampage"):
+    plan = grid_plan("rampage", runner.config)
+    assert len(files) == len(plan)
+    for params, key in plan:
         oracle = RunRecord.from_result(
             "rampage",
             params.transfer_unit_bytes,
             simulate(params, build_workload(SCALE, seed=SEED), slice_refs=SLICE_REFS),
         )
-        blob = files[runner._cache_key(params)].read_text("utf-8")
+        blob = files[key].read_text("utf-8")
         assert blob == encode_cache_entry(oracle)
 
 

@@ -139,7 +139,7 @@ def test_partial_pool_failure_never_double_fires_progress(tmp_path, monkeypatch)
         # fire the progress callback -- then die.
         spec = pending[0]
         record = RunRecord.from_dict(_simulate_cell(spec))
-        par._store(par._cache_key(spec.params), record)
+        par._store(spec.key, record)
         par.progress(1, len(pending), record)
         raise RuntimeError("pool died mid-sweep")
 

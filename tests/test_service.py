@@ -10,6 +10,7 @@ import json
 import threading
 
 import pytest
+from helpers import tree_state
 
 from repro.core.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
@@ -267,17 +268,20 @@ def test_duplicate_submit_reuses_the_completed_job(tmp_path):
 def test_overlapping_grid_is_served_entirely_from_cache(tmp_path):
     """Scheduler dedup: a second job whose cells are a subset of an
     earlier job's completes with zero ``full``/``recorded`` cells --
-    every cell is a cache hit."""
+    every cell is a cache hit -- and writes nothing under the cache
+    directory, not even the manifest."""
     store, scheduler = make_scheduler(tmp_path)
     scheduler.start()
     try:
         first, _ = scheduler.submit(spec())
         scheduler.wait(first.id, timeout=120)
+        before = tree_state(tmp_path / "cache")
         subset, created = scheduler.submit(spec(labels=("baseline",)))
         assert created and subset.id != first.id
         final = scheduler.wait(subset.id, timeout=120)
         assert final.status == COMPLETED
         assert final.modes == {"cached": 2}
+        assert tree_state(tmp_path / "cache") == before
     finally:
         scheduler.stop(timeout=30)
 

@@ -22,7 +22,12 @@ from repro.core.observe import EventLog
 from repro.core.params import RambusParams
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import ParallelRunner
-from repro.experiments.runner import Runner, encode_cache_entry, iter_cache_files
+from repro.experiments.runner import (
+    Runner,
+    encode_cache_entry,
+    grid_plan,
+    iter_cache_files,
+)
 from repro.systems.factory import (
     aggressive_l1,
     baseline_machine,
@@ -295,8 +300,8 @@ def test_runner_two_phase_cache_bytes_identical_to_single_phase(tmp_path):
     for label in ("baseline", "rampage"):
         two.grid(label)
         files.update({path.stem: path for path in iter_cache_files(tmp_path)})
-        for params in two.grid_params(label):
-            blob = files[two._cache_key(params)].read_text("utf-8")
+        for params, key in grid_plan(label, two.config):
+            blob = files[key].read_text("utf-8")
             assert blob == encode_cache_entry(oracle_record(label, params))
     assert len(files) == 2 * len(RATES) * 2
 
