@@ -8,7 +8,7 @@ Subcommands::
     rampage-sim report figures --format svg  # render cached records
     rampage-sim sweep --kind rampage ...  # one ad-hoc simulation cell
     rampage-sim cache stats|verify|purge  # inspect/repair the run cache
-    rampage-sim bench [--check]           # throughput snapshot / self-test
+    rampage-sim bench --check|--replay    # identity gates (CI)
     rampage-sim serve                     # sweep-service HTTP daemon
     rampage-sim submit|status|watch|fetch # talk to a running daemon
 
@@ -202,8 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     bench_cmd = sub.add_parser(
-        "bench",
-        help="record a simulator-throughput snapshot (or --check self-test)",
+        "bench", help="run an identity gate: --check or --replay"
     )
     bench.add_arguments(bench_cmd)
 
@@ -440,10 +439,7 @@ def _cache_stats(cache_dir: Path, args: argparse.Namespace) -> int:
     if manifest is not None:
         counters = manifest.get("cache", {})
         summary = ", ".join(f"{k}={v}" for k, v in sorted(counters.items()))
-        print(
-            f"manifest (last run that stored or quarantined a record): "
-            f"grids={manifest.get('grids')} {summary}"
-        )
+        print(f"manifest (last run that stored or quarantined a record): {summary}")
     return 0
 
 
@@ -699,38 +695,15 @@ def _cmd_service(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    """Render Figures 2-5: a thin wrapper over the report builder.
+    """Render Figures 2-5 through the cached runner.
 
-    With a cache the figures render straight from the ``figures``
-    report's records -- byte-identical to the pre-builder output; any
-    missing cells are simulated (and cached) first.  Without a cache
-    the runner computes the grids in memory as before.
+    With a cache, the grids come from its records and only missing
+    cells are simulated (and cached) first; without one, the runner
+    computes them in memory.
     """
-    from repro.analysis.figures_svg import (
-        FIGURE_GRID_LABELS,
-        render_figure_svgs,
-        write_figure_svgs,
-    )
-    from repro.reports import build_report
+    from repro.analysis.figures_svg import write_figure_svgs
 
-    config = _config_with_flags(args)
-    if config.cache_dir is None:
-        paths = write_figure_svgs(_make_runner(args), args.out)
-    else:
-        report = build_report("figures", config)
-        if not report.complete:
-            runner = _make_runner(args)
-            for label in FIGURE_GRID_LABELS:
-                runner.grid(label)  # simulate the gaps into the cache
-            report = build_report("figures", config)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        paths = []
-        for name, svg in render_figure_svgs(report.grids(), config).items():
-            path = out_dir / name
-            path.write_text(svg, encoding="utf-8")
-            paths.append(path)
-    for path in paths:
+    for path in write_figure_svgs(_make_runner(args), args.out):
         print(f"wrote {path}")
     return 0
 

@@ -288,7 +288,6 @@ class ParallelRunner(Runner):
             cells=total,
             wall_s=round(timer.elapsed, 6),
         )
-        self.write_cache_manifest()
         return total
 
     def _prefetch_pool(self, pending: list[CellSpec], total: int) -> None:

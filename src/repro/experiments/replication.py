@@ -6,18 +6,13 @@ mean, standard deviation and a t-based 95% confidence interval for any
 scalar metric.  :func:`compare` replicates two machines and tests
 whether one is faster with non-overlapping confidence intervals.
 
-Seeds are independent simulations, so ``workers > 1`` farms them out to
-a process pool (metrics are still applied in the parent, so arbitrary
-callables -- lambdas included -- stay usable).  Results come back in
-seed order regardless of completion order, and any pool failure falls
-back to the serial loop.
+Seeds run in order, in process, so any callable -- lambdas included --
+works as a metric.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Sequence
 
 from scipy import stats as scipy_stats
@@ -81,49 +76,11 @@ class ReplicationResult:
         return self.ci95_low <= other.ci95_high and other.ci95_low <= self.ci95_high
 
 
-def _simulate_seed(
-    params: MachineParams, scale: float, slice_refs: int, seed: int
-) -> SimulationResult:
-    """One seed's simulation (top-level so worker processes can run it)."""
-    programs = build_workload(scale, seed=seed)
-    return simulate(params, programs, slice_refs=slice_refs)
-
-
-def _run_seeds(
-    params: MachineParams,
-    config: ExperimentConfig,
-    seeds: Sequence[int],
-    workers: int,
-) -> list[SimulationResult]:
-    """Simulate every seed, in seed order, with up to ``workers`` processes."""
-    if workers > 1 and len(seeds) > 1:
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(seeds))
-            ) as pool:
-                return list(
-                    pool.map(
-                        _simulate_seed,
-                        repeat(params),
-                        repeat(config.scale),
-                        repeat(config.slice_refs),
-                        seeds,
-                    )
-                )
-        except Exception:
-            pass  # pool unavailable: fall through to the serial loop
-    return [
-        _simulate_seed(params, config.scale, config.slice_refs, seed)
-        for seed in seeds
-    ]
-
-
 def replicate(
     params: MachineParams,
     config: ExperimentConfig,
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
     metric: MetricFn = seconds_metric,
-    workers: int = 1,
     events: EventLog | None = None,
 ) -> ReplicationResult:
     """Run one machine under several workload seeds.
@@ -136,15 +93,13 @@ def replicate(
     if len(set(seeds)) != len(seeds):
         raise ConfigurationError(f"replication seeds must be unique, got {seeds}")
     if events is not None:
-        events.emit(
-            "replication_started",
-            kind=params.kind,
-            seeds=list(seeds),
-            workers=workers,
-        )
+        events.emit("replication_started", kind=params.kind, seeds=list(seeds))
     with ScopedTimer() as timer:
-        results = _run_seeds(params, config, seeds, workers)
-        summary = ReplicationResult.from_values([metric(r) for r in results])
+        values = []
+        for seed in seeds:
+            programs = build_workload(config.scale, seed=seed)
+            values.append(metric(simulate(params, programs, slice_refs=config.slice_refs)))
+        summary = ReplicationResult.from_values(values)
     if events is not None:
         events.emit(
             "replication_completed",
@@ -163,7 +118,6 @@ def compare(
     config: ExperimentConfig,
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
     metric: MetricFn = seconds_metric,
-    workers: int = 1,
     events: EventLog | None = None,
 ) -> dict[str, object]:
     """Replicate two machines and summarise the comparison.
@@ -172,8 +126,8 @@ def compare(
     of ``b`` over ``a`` (``a.mean / b.mean - 1``), and whether the
     confidence intervals separate (``significant``).
     """
-    result_a = replicate(a, config, seeds, metric, workers, events)
-    result_b = replicate(b, config, seeds, metric, workers, events)
+    result_a = replicate(a, config, seeds, metric, events)
+    result_b = replicate(b, config, seeds, metric, events)
     return {
         "a": result_a,
         "b": result_b,

@@ -427,7 +427,8 @@ class Runner:
         grouped by miss-plane key and each group goes through
         :meth:`_replay_plane_group`; every other cell is one full
         simulation.  ``on_record`` fires once per finished cell, in
-        completion order.
+        completion order.  Every engine computes cells here, so this is
+        where the cache manifest is written.
         """
         config = self.config
         groups: dict[str | None, list[tuple[str, MachineParams, str]]] = {}
@@ -442,6 +443,7 @@ class Runner:
                     self._simulate(member, None, on_record)
             else:
                 self._replay_plane_group(pkey, members, on_record)
+        self.write_cache_manifest()
 
     def _replay_plane_group(
         self,
@@ -571,6 +573,7 @@ class Runner:
     def write_cache_manifest(self) -> Path | None:
         """Summarise the cache directory into its manifest (atomic).
 
+        :meth:`_replay_cells` calls it at the end of every computation.
         Only a runner that stored or quarantined a record since its last
         write rewrites it, so a grid served from the cache leaves every
         file under the cache directory as it found it.  Returns the
@@ -587,7 +590,6 @@ class Runner:
             cache_dir,
             {
                 "workload_version": WORKLOAD_VERSION,
-                "grids": sorted(self._grids),
                 "cache": self.cache_stats.as_dict(),
                 "plane_registry": registry_stats(),
                 "entries": entries,
@@ -620,5 +622,4 @@ class Runner:
         for params, key in plan:
             grid.add(self._record(label, params, key))
         self._grids[label] = grid
-        self.write_cache_manifest()
         return grid

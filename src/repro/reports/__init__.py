@@ -3,7 +3,7 @@
 The consumer layer over the experiment cache (docs/reports.md): the
 builder resolves a named grid to cache keys and loads records without
 simulating, the exporter renders one report to any of five formats,
-the status serializers back ``cache stats --json`` and ``/v1/bench``,
+the status serializer backs ``cache stats --json`` and ``/v1/bench``,
 and the dashboard page fronts it all in a browser.
 """
 
@@ -21,7 +21,7 @@ from repro.reports.export import (
     REPORT_SCHEMA,
     export_report,
 )
-from repro.reports.status import bench_status, cache_status
+from repro.reports.status import cache_status
 
 __all__ = [
     "REPORT_LABELS",
@@ -34,6 +34,5 @@ __all__ = [
     "FORMATS",
     "REPORT_SCHEMA",
     "export_report",
-    "bench_status",
     "cache_status",
 ]

@@ -10,7 +10,7 @@ against the daemon's existing JSON/SSE routes:
 * selecting a job subscribes to ``/v1/jobs/<id>/events`` for live
   progress (cells done, the full/recorded/replayed/cached mode mix,
   fabric lease activity),
-* ``/v1/bench`` fills the throughput-trend sparkline and cache card,
+* ``/v1/bench`` fills the cache card,
 * ``/v1/reports`` links every report in every format.
 """
 
@@ -52,7 +52,6 @@ DASHBOARD_HTML = """<!doctype html>
           font-size: 0.75rem; border: 1px solid var(--line); }
   .pill.ok { color: var(--ok); } .pill.warn { color: var(--warn); }
   a { color: var(--accent); }
-  #spark { width: 100%; height: 60px; }
   ul.reports { margin: 0; padding-left: 1.1rem; }
   #log { font-family: ui-monospace, monospace; font-size: 0.75rem;
          max-height: 10rem; overflow-y: auto; white-space: pre-wrap; }
@@ -77,10 +76,7 @@ DASHBOARD_HTML = """<!doctype html>
     <div id="log"></div>
   </div>
   <div class="card">
-    <h2>throughput trend</h2>
-    <svg id="spark" viewBox="0 0 300 60" preserveAspectRatio="none"></svg>
-    <div class="muted" id="bench-note">no BENCH_throughput.json yet</div>
-    <h2 style="margin-top:0.8rem">cache</h2>
+    <h2>cache</h2>
     <div class="muted" id="cache"></div>
   </div>
   <div class="card">
@@ -183,35 +179,9 @@ function follow(job) {
   refreshJobs();
 }
 
-function sparkline(points) {
-  const svg = $("spark");
-  svg.replaceChildren();
-  if (!points.length) return;
-  const max = Math.max(...points, 1e-9);
-  const step = points.length > 1 ? 300 / (points.length - 1) : 0;
-  const path = points.map((value, idx) =>
-    (idx ? "L" : "M") + (idx * step).toFixed(1) + "," +
-    (55 - 50 * value / max).toFixed(1)).join(" ");
-  const line = document.createElementNS("http://www.w3.org/2000/svg", "path");
-  line.setAttribute("d", path);
-  line.setAttribute("fill", "none");
-  line.setAttribute("stroke", "var(--accent)");
-  line.setAttribute("stroke-width", "2");
-  svg.appendChild(line);
-}
-
 async function refreshBench() {
   try {
-    const status = await getJSON("/v1/bench");
-    const bench = status.bench;
-    if (bench.present && bench.trend.length) {
-      sparkline(bench.trend.map((point) =>
-        (point.throughput || {}).rampage || 0));
-      const last = bench.trend[bench.trend.length - 1];
-      $("bench-note").textContent = bench.snapshots + " snapshots; last " +
-        last.date + ((last.note && " (" + last.note + ")") || "");
-    }
-    const cache = status.cache;
+    const cache = (await getJSON("/v1/bench")).cache;
     $("cache").textContent = cache.present
       ? cache.records + " records (" + cache.record_bytes + " bytes), " +
         cache.quarantined + " quarantined"

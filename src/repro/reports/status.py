@@ -1,16 +1,14 @@
-"""Machine-readable cache and benchmark summaries.
+"""Machine-readable cache summaries.
 
-These serializers back three consumers with one shape each:
+:func:`cache_status` backs three consumers with one shape:
 ``rampage-sim cache stats --json``, the daemon's ``GET /v1/bench``
-route, and the dashboard's status cards.  Everything here is
-read-only and tolerant -- an absent directory or a malformed
-``BENCH_throughput.json`` yields a summary that *says so* instead of
-raising.
+route, and the dashboard's cache card.  Everything here is read-only
+and tolerant -- an absent directory or an undecodable record yields a
+summary that *says so* instead of raising.
 """
 
 from __future__ import annotations
 
-import json
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -114,74 +112,4 @@ def cache_status(cache_dir: str | Path | None) -> dict:
         "quarantined": len(quarantined),
         "artifacts": artifacts,
         "manifest": read_manifest(cache_dir),
-    }
-
-
-def _trend_point(snapshot: dict) -> dict:
-    """One bench snapshot reduced to what a trend line needs."""
-    point = {
-        "date": snapshot.get("date"),
-        "note": snapshot.get("note", ""),
-        "throughput": snapshot.get("throughput", {}),
-    }
-    sweep = snapshot.get("sweep")
-    if isinstance(sweep, dict):
-        point["sweep"] = {
-            key: sweep[key]
-            for key in (
-                "cells",
-                "wall_s",
-                "two_phase_wall_s",
-                "speedup",
-                "two_phase_speedup",
-                "modes",
-            )
-            if key in sweep
-        }
-    replay = snapshot.get("replay_kernel")
-    if isinstance(replay, dict):
-        point["replay_kernel"] = {
-            key: replay[key]
-            for key in ("speedup", "mismatches")
-            if key in replay
-        }
-    return point
-
-
-def bench_status(path: str | Path | None) -> dict:
-    """Summary of a ``BENCH_throughput.json`` snapshot file."""
-    if path is None:
-        return {"present": False, "path": None, "snapshots": 0, "trend": []}
-    path = Path(path)
-    if not path.exists():
-        return {
-            "present": False,
-            "path": str(path),
-            "snapshots": 0,
-            "trend": [],
-        }
-    try:
-        data = json.loads(path.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as error:
-        return {
-            "present": False,
-            "path": str(path),
-            "snapshots": 0,
-            "trend": [],
-            "error": str(error),
-        }
-    snapshots = data.get("snapshots", [])
-    if not isinstance(snapshots, list):
-        snapshots = []
-    return {
-        "present": True,
-        "path": str(path),
-        "unit": data.get("unit"),
-        "workload": data.get("workload", {}),
-        "snapshots": len(snapshots),
-        "trend": [
-            _trend_point(snapshot)
-            for snapshot in snapshots
-            if isinstance(snapshot, dict)
-        ],
     }

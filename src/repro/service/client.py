@@ -216,7 +216,7 @@ class ServiceClient:
             return response.read()
 
     def bench(self) -> dict:
-        """The daemon's throughput-trend + cache summary (``/v1/bench``)."""
+        """The daemon's cache summary (``/v1/bench``)."""
         return self._json("GET", "/v1/bench")
 
     def watch(self, job_id: str) -> Iterator[tuple[str, dict]]:

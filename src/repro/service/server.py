@@ -18,7 +18,7 @@ Endpoints (all JSON unless noted)::
     GET  /v1/records/<key>         raw cache file bytes for one cell (ETag)
     GET  /v1/reports               report + format index
     GET  /v1/reports/<name>        report render; ?format=svg|html|json|md|csv
-    GET  /v1/bench                 throughput trend + cache summary
+    GET  /v1/bench                 cache summary (``cache stats --json``)
 
 Submission semantics:
 
@@ -63,7 +63,6 @@ from repro.reports import (
     CONTENT_TYPES,
     DASHBOARD_HTML,
     FORMATS,
-    bench_status,
     build_report,
     cache_status,
     export_report,
@@ -178,7 +177,6 @@ class SweepService:
         queue_limit: int = 8,
         state_dir: str | Path | None = None,
         fabric: int = 0,
-        bench_path: str | Path | None = None,
     ) -> None:
         self.config = config if config is not None else ExperimentConfig.from_env()
         if self.config.cache_dir is None:
@@ -192,11 +190,6 @@ class SweepService:
             Path(state_dir)
             if state_dir is not None
             else Path(self.config.cache_dir) / SERVICE_DIRNAME
-        )
-        self.bench_path = (
-            Path(bench_path)
-            if bench_path is not None
-            else Path.cwd() / "BENCH_throughput.json"
         )
         self.store = JobStore(state)
         self.scheduler = SweepScheduler(
@@ -416,11 +409,7 @@ class SweepService:
                 return
             loop = asyncio.get_running_loop()
             payload = await loop.run_in_executor(
-                None,
-                lambda: {
-                    "bench": bench_status(self.bench_path),
-                    "cache": cache_status(self.config.cache_dir),
-                },
+                None, lambda: {"cache": cache_status(self.config.cache_dir)}
             )
             await self._respond(writer, 200, payload)
             return

@@ -30,6 +30,8 @@ from repro.experiments.runner import (
     iter_quarantined_files,
     record_checksum,
 )
+from repro.service.fabric import run_worker
+from repro.service.jobs import JobSpec, JobStore, plan_cells
 from repro.systems.factory import baseline_machine
 from repro.trace import filter as missplane
 from repro.trace import materialize
@@ -187,12 +189,14 @@ def test_flat_pre_shard_record_misses_and_is_recomputed(tmp_path):
 def test_store_leaves_no_temp_files(tmp_path):
     cache_dir, path, _ = seeded_cache(tmp_path)
     names = {item.name for item in cache_dir.iterdir()}
-    # Records live in the sharded layout; the materialized trace plane
-    # and the miss planes live alongside by design.  Anything else
-    # (e.g. an orphaned temp file) is a leak.
-    assert names == {SHARD_DIRNAME, TRACE_DIRNAME, PLANE_DIRNAME}
+    # Records live in the sharded layout; the materialized trace plane,
+    # the miss planes and the manifest live alongside by design.
+    # Anything else (e.g. an orphaned temp file) is a leak.
+    assert names == {SHARD_DIRNAME, TRACE_DIRNAME, PLANE_DIRNAME, observe.META_DIRNAME}
     shard_dir = cache_dir / SHARD_DIRNAME / path.parent.name
     assert {item.name for item in shard_dir.iterdir()} == {path.name}
+    meta_dir = cache_dir / observe.META_DIRNAME
+    assert {item.name for item in meta_dir.iterdir()} == {observe.MANIFEST_FILENAME}
 
 
 def test_commit_is_replace_not_append(tmp_path, monkeypatch):
@@ -330,6 +334,39 @@ def test_grid_that_quarantines_a_record_rewrites_the_manifest(tmp_path):
     assert manifest["quarantined_files"] == 1
     assert manifest["cache"]["quarantined"] == 1
     assert manifest["entries"] == 2
+
+
+@pytest.mark.parametrize("engine", ["prefetch", "record", "worker"])
+def test_every_engine_that_stores_records_writes_the_manifest(tmp_path, engine):
+    """Serial prefetch, a single ``record`` miss and a fabric worker each
+    compute through ``_replay_cells``, so each leaves a manifest that
+    counts every record file it stored."""
+    materialize.clear_registry()
+    missplane.clear_registry()
+    cache_dir = tmp_path / "cache"
+    grid = grid_config(cache_dir)
+    if engine == "prefetch":
+        Runner(grid).prefetch(["baseline"])
+    elif engine == "record":
+        Runner(grid).record("baseline", PARAMS)
+    else:
+        spec = JobSpec(
+            labels=("baseline",),
+            scale=grid.scale,
+            slice_refs=grid.slice_refs,
+            issue_rates=grid.issue_rates,
+            sizes=grid.sizes,
+            seed=grid.seed,
+        )
+        store = JobStore(tmp_path / "state")
+        job, _ = store.submit(spec, plan_cells(spec, grid))
+        run_worker(tmp_path / "state", grid, "solo", job_filter={job.id})
+    records = sum(1 for _ in iter_cache_files(cache_dir))
+    assert records == (1 if engine == "record" else 2)
+    manifest = observe.read_manifest(cache_dir)
+    assert manifest is not None
+    assert manifest["entries"] == records
+    assert "grids" not in manifest
 
 
 class FailingCall:

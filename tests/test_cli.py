@@ -1,12 +1,16 @@
 """Tests for the rampage-sim command-line interface."""
 
+import pytest
+from helpers import tree_state
 
+from repro import bench
 from repro.cli import EXPERIMENTS, main
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import Runner, iter_cache_files, iter_quarantined_files
 from repro.systems.factory import rampage_machine
 from repro.trace import filter as missplane
 from repro.trace.filter import MANIFEST_NAME, PLANE_DIRNAME
+from repro.trace.replay_kernel import ReplayKernel
 
 
 def test_list_prints_experiments(capsys):
@@ -284,6 +288,54 @@ def test_bench_check_smoke(capsys):
     assert "check OK" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--check", "--replay"], ["--rounds", "2"], ["--out", "x"]],
+    ids=["no-gate", "both-gates", "rounds", "out"],
+)
+def test_bench_takes_exactly_one_gate(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", *argv])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("perturbed", [None, "scalar", "kernel"])
+def test_bench_replay_gate_fails_on_one_perturbed_cell(perturbed, monkeypatch, capsys):
+    """The kernel gate exits 1 when either engine's output for a single
+    cell moves, and 0 when both engines agree."""
+    monkeypatch.setattr(bench, "SWEEP_SCALE", 0.00002)
+    if perturbed == "scalar":
+        real_timeline = missplane._replay_timeline
+        calls = []
+
+        def timeline(dram, cycle_ps, columns):
+            dram_ps, stall_ps, overlap_ps = real_timeline(dram, cycle_ps, columns)
+            calls.append(cycle_ps)
+            if len(calls) == 5:
+                dram_ps += 1
+            return dram_ps, stall_ps, overlap_ps
+
+        monkeypatch.setattr(missplane, "_replay_timeline", timeline)
+    elif perturbed == "kernel":
+        # A subclass, so plane recording keeps validating with the real kernel.
+        class PerturbedKernel(ReplayKernel):
+            def price_many(self, timings):
+                priced = super().price_many(timings)
+                dram_ps, stall_ps, overlap_ps = priced[-1]
+                priced[-1] = (dram_ps, stall_ps + 1, overlap_ps)
+                return priced
+
+        monkeypatch.setattr(bench, "ReplayKernel", PerturbedKernel)
+    code = main(["bench", "--replay"])
+    out = capsys.readouterr().out
+    if perturbed is None:
+        assert code == 0
+        assert "replay OK" in out
+    else:
+        assert code == 1
+        assert "REPLAY GATE FAILED" in out
+
+
 def test_cache_commands_handle_missing_directory(tmp_path, capsys):
     missing = tmp_path / "nowhere"
     assert main(["cache", "stats", "--dir", str(missing)]) == 0
@@ -329,6 +381,27 @@ def test_figures_writes_svgs(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert (tmp_path / "figure4.svg").exists()
     assert len(list(tmp_path.glob("figure*.svg"))) == 7
+
+
+def test_figures_with_a_cache_are_stable_and_a_warm_run_writes_nothing(
+    tmp_path, capsys, monkeypatch
+):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+    monkeypatch.delenv("REPRO_EVENT_LOG", raising=False)
+    monkeypatch.setenv("REPRO_RATES", "200000000,4000000000")
+    monkeypatch.setenv("REPRO_SIZES", "128,4096")
+    argv = ["figures", "--scale", "0.0001", "--slice-refs", "2000", "--workers", "1"]
+    assert main([*argv, "--out", str(tmp_path / "cold")]) == 0
+    before = tree_state(cache)
+    assert main([*argv, "--out", str(tmp_path / "warm")]) == 0
+    assert tree_state(cache) == before
+
+    def svgs(directory):
+        return {path.name: path.read_bytes() for path in directory.glob("figure*.svg")}
+
+    assert len(svgs(tmp_path / "cold")) == 7
+    assert svgs(tmp_path / "warm") == svgs(tmp_path / "cold")
 
 
 def test_cache_stats_reports_artifact_inventory(tmp_path, capsys, monkeypatch):

@@ -20,13 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.bench import (
-    SWEEP_LABELS,
-    SWEEP_RATES,
-    SWEEP_SCALE,
-    SWEEP_SIZES,
-    SWEEP_SLICE_REFS,
-)
+from repro.bench import SWEEP_LABELS, SWEEP_RATES, sweep_config
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import Runner, iter_cache_files
 from repro.service.fabric import plan_groups, run_worker
@@ -57,18 +51,6 @@ def base_config(cache_dir):
         slice_refs=4_000,
         issue_rates=(10**9,),
         sizes=(128, 1024),
-        seed=0,
-        cache_dir=cache_dir,
-    )
-
-
-def bench_config(cache_dir):
-    """The 9-cell bench grid (3 labels x 1 size x 3 rates)."""
-    return ExperimentConfig(
-        scale=SWEEP_SCALE,
-        slice_refs=SWEEP_SLICE_REFS,
-        issue_rates=SWEEP_RATES,
-        sizes=SWEEP_SIZES,
         seed=0,
         cache_dir=cache_dir,
     )
@@ -136,7 +118,7 @@ def cache_bytes(cache_dir):
 
 
 def test_plan_groups_is_deterministic_and_covers_every_cell(tmp_path):
-    config = bench_config(tmp_path / "cache")
+    config = sweep_config(tmp_path / "cache")
     spec = spec_for(config, SWEEP_LABELS)
     groups = plan_groups(spec, config)
     again = plan_groups(spec, config)
@@ -307,7 +289,7 @@ def test_run_worker_drains_a_job_to_completion(tmp_path):
 
 
 def test_two_workers_drain_bench_grid_byte_identical_to_serial(tmp_path):
-    config = bench_config(tmp_path / "cache")
+    config = sweep_config(tmp_path / "cache")
     store = JobStore(tmp_path / "state")
     spec = spec_for(config, SWEEP_LABELS)
     job, _ = store.submit(spec, plan_cells(spec, config))
@@ -332,7 +314,7 @@ def test_two_workers_drain_bench_grid_byte_identical_to_serial(tmp_path):
     assert final.status == COMPLETED
     assert final.done == final.total == 9
 
-    serial = Runner(bench_config(tmp_path / "serial"))
+    serial = Runner(sweep_config(tmp_path / "serial"))
     serial.prefetch(list(SWEEP_LABELS))
     fabric_files = cache_bytes(tmp_path / "cache")
     assert len(fabric_files) == 9

@@ -20,9 +20,7 @@ from repro.experiments.parallel import (
     _simulate_cell,
     _simulate_cell_timed,
 )
-from repro.experiments.replication import replicate
 from repro.experiments.runner import Runner, iter_cache_files
-from repro.systems.factory import baseline_machine
 from repro.trace import materialize
 
 LABELS = ("baseline", "rampage")
@@ -114,12 +112,15 @@ def test_progress_callback_reports_every_cell(tmp_path):
 
 def test_pool_failure_degrades_to_in_process(tmp_path, monkeypatch):
     par = ParallelRunner(config(tmp_path), workers=4)
+    ran = []
 
-    def boom(pending):
+    def boom(pending, total):
+        ran.append((len(pending), total))
         raise RuntimeError("pool unavailable")
 
     monkeypatch.setattr(par, "_prefetch_pool", boom)
     assert par.prefetch(LABELS) == 4
+    assert ran == [(4, 4)]
     assert par.pending_cells(LABELS) == []
 
 
@@ -134,18 +135,26 @@ def test_partial_pool_failure_never_double_fires_progress(tmp_path, monkeypatch)
         progress=lambda done, total, record: events.append((done, total)),
     )
 
-    def partial_pool(pending):
+    committed = []
+
+    def partial_pool(pending, total):
         # Complete one cell the way the real pool does -- store it and
         # fire the progress callback -- then die.
         spec = pending[0]
         record = RunRecord.from_dict(_simulate_cell(spec))
         par._store(spec.key, record)
-        par.progress(1, len(pending), record)
+        par.progress(1, total, record)
+        committed.append(spec.key)
         raise RuntimeError("pool died mid-sweep")
 
     monkeypatch.setattr(par, "_prefetch_pool", partial_pool)
+    keys = {spec.key for spec in par.pending_cells(LABELS)}
     assert par.prefetch(LABELS) == 4
+    assert len(committed) == 1
     assert events == [(1, 4), (2, 4), (3, 4), (4, 4)]
+    # The fallback simulates the other three cells only.
+    started = [event["key"] for event in par.events.of("cell_started")]
+    assert sorted(started) == sorted(keys - set(committed))
     assert par.pending_cells(LABELS) == []
 
 
@@ -270,17 +279,3 @@ def test_default_worker_count_is_cpu_count(tmp_path):
 def test_invalid_worker_count_is_rejected_up_front(tmp_path, workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
         ParallelRunner(config(tmp_path), workers=workers)
-
-
-def test_replicate_parallel_matches_serial():
-    cfg = ExperimentConfig(
-        scale=0.0001,
-        slice_refs=4_000,
-        issue_rates=(10**9,),
-        sizes=(128,),
-        cache_dir=None,
-    )
-    params = baseline_machine(10**9, 512)
-    serial = replicate(params, cfg, seeds=(0, 1), workers=1)
-    parallel = replicate(params, cfg, seeds=(0, 1), workers=2)
-    assert parallel.values == serial.values

@@ -31,7 +31,7 @@ from repro.reports import (
     export_report,
     report_names,
 )
-from repro.reports.status import bench_status, cache_status
+from repro.reports.status import cache_status
 from repro.service import ServiceClient, ServiceError, ServiceThread, SweepService
 from repro.trace import materialize
 
@@ -66,38 +66,13 @@ def warm(tmp_path_factory):
 
 @pytest.fixture
 def service(warm, tmp_path):
-    """A daemon over the warm cache, with a synthetic bench snapshot."""
-    bench_file = tmp_path / "BENCH_throughput.json"
-    bench_file.write_text(
-        json.dumps(
-            {
-                "unit": "refs_per_second",
-                "workload": {"refs": 1000, "scale": 0.0001, "slice_refs": 2000},
-                "snapshots": [
-                    {
-                        "date": "2026-08-01",
-                        "note": "synthetic",
-                        "throughput": {"conventional": 100.0, "rampage": 120.0},
-                        "sweep": {
-                            "cells": 6,
-                            "wall_s": 1.0,
-                            "two_phase_wall_s": 0.5,
-                            "speedup": 1.5,
-                            "two_phase_speedup": 2.0,
-                            "modes": {"cached": 6},
-                        },
-                    }
-                ],
-            }
-        )
-    )
+    """A daemon over the warm cache."""
     svc = SweepService(
         warm,
         port=0,
         workers=1,
         queue_limit=4,
         state_dir=tmp_path / "state",
-        bench_path=bench_file,
     )
     thread = ServiceThread(svc)
     url = thread.start()
@@ -266,31 +241,6 @@ def test_cache_status_missing_directory(tmp_path):
     assert cache_status(None) == {"present": False, "path": None}
 
 
-def test_bench_status_shapes(tmp_path):
-    missing = bench_status(tmp_path / "BENCH_throughput.json")
-    assert missing["present"] is False and missing["trend"] == []
-    path = tmp_path / "bench.json"
-    path.write_text("{broken", encoding="utf-8")
-    assert bench_status(path)["present"] is False
-    path.write_text(
-        json.dumps(
-            {
-                "unit": "refs_per_second",
-                "snapshots": [
-                    {
-                        "date": "2026-08-01",
-                        "throughput": {"rampage": 7.0},
-                        "sweep": {"cells": 3, "two_phase_speedup": 2.5},
-                    }
-                ],
-            }
-        )
-    )
-    status = bench_status(path)
-    assert status["present"] and status["snapshots"] == 1
-    assert status["trend"][0]["sweep"]["two_phase_speedup"] == 2.5
-
-
 def test_cli_cache_stats_json(warm, capsys):
     assert main(["cache", "stats", "--json", "--dir", str(warm.cache_dir)]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -363,17 +313,14 @@ def test_bench_route_and_dashboard(service):
     svc, url = service
     client = ServiceClient(url)
     status = client.bench()
-    assert status["bench"]["present"] is True
-    assert status["bench"]["snapshots"] == 1
-    trend = status["bench"]["trend"][0]
-    assert trend["throughput"]["rampage"] == 120.0
-    assert trend["sweep"]["two_phase_speedup"] == 2.0
+    assert status == {"cache": cache_status(svc.config.cache_dir)}
     assert status["cache"]["records"] == 16
     code, headers, body = _get(url, "/dashboard")
     assert code == 200
     assert headers["Content-Type"].startswith("text/html")
     page = body.decode("utf-8")
     assert "EventSource" in page and "/v1/bench" in page
+    assert 'id="spark"' not in page and "sparkline" not in page
 
 
 def test_record_route_etag_and_304(service):

@@ -14,8 +14,7 @@ mixing the production op profile:
   simulate, exercising admission control (429s are counted, not errors).
 
 Default mode measures sustained throughput (ops/s, terminal-job
-responses/s) and latency percentiles, and ``--record`` folds a
-``service_load`` entry into the newest BENCH_throughput.json snapshot.
+responses/s) and latency percentiles, and prints them as JSON.
 
 ``--smoke`` is the CI gate: a ``--fabric 2`` daemon serves the 9-cell
 bench grid under a concurrent client burst, and the run fails on any
@@ -32,19 +31,11 @@ import sys
 import tempfile
 import threading
 import time
-from datetime import date
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench import (  # noqa: E402
-    SWEEP_LABELS,
-    SWEEP_RATES,
-    SWEEP_SCALE,
-    SWEEP_SIZES,
-    SWEEP_SLICE_REFS,
-    environment,
-)
+from repro.bench import SWEEP_LABELS, sweep_config  # noqa: E402
 from repro.experiments.config import ExperimentConfig  # noqa: E402
 from repro.experiments.runner import Runner, iter_cache_files  # noqa: E402
 from repro.service import (  # noqa: E402
@@ -55,8 +46,6 @@ from repro.service import (  # noqa: E402
 )
 from repro.service.jobs import JobStore  # noqa: E402
 
-DEFAULT_BENCH = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
-
 
 def small_config(cache_dir: Path) -> ExperimentConfig:
     """A 4-cell grid: small enough that the daemon, not the simulator,
@@ -66,18 +55,6 @@ def small_config(cache_dir: Path) -> ExperimentConfig:
         slice_refs=4_000,
         issue_rates=(10**9,),
         sizes=(128, 1024),
-        seed=0,
-        cache_dir=cache_dir,
-    )
-
-
-def bench_grid_config(cache_dir: Path) -> ExperimentConfig:
-    """The 9-cell bench sweep (3 labels x 1 size x 3 rates)."""
-    return ExperimentConfig(
-        scale=SWEEP_SCALE,
-        slice_refs=SWEEP_SLICE_REFS,
-        issue_rates=SWEEP_RATES,
-        sizes=SWEEP_SIZES,
         seed=0,
         cache_dir=cache_dir,
     )
@@ -236,21 +213,6 @@ def run_load(args: argparse.Namespace) -> dict:
     }
 
 
-def record_entry(path: Path, entry: dict) -> None:
-    """Fold a ``service_load`` entry into the newest snapshot."""
-    data = json.loads(path.read_text("utf-8"))
-    snapshots = data.get("snapshots", [])
-    if not snapshots:
-        raise SystemExit(f"{path} has no snapshots to annotate")
-    snapshots[-1]["service_load"] = {
-        "date": date.today().isoformat(),
-        **{k: v for k, v in environment().items() if k in ("host", "cpu_count")},
-        **entry,
-    }
-    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-    print(f"recorded service_load entry in {path}")
-
-
 # ----------------------------------------------------------------------
 # Smoke mode (CI gate)
 # ----------------------------------------------------------------------
@@ -260,7 +222,7 @@ def run_smoke(args: argparse.Namespace) -> int:
     failures: list[str] = []
     with tempfile.TemporaryDirectory(prefix="rampage-smoke-") as tmp:
         root = Path(tmp)
-        config = bench_grid_config(root / "cache")
+        config = sweep_config(root / "cache")
         state_dir = root / "cache" / "service"
         svc = SweepService(
             config, port=0, queue_limit=8, fabric=max(2, args.fabric)
@@ -320,7 +282,7 @@ def run_smoke(args: argparse.Namespace) -> int:
 
         # Ground truth: serial runner over an independent cache.
         serial_cache = root / "serial"
-        serial = Runner(bench_grid_config(serial_cache))
+        serial = Runner(sweep_config(serial_cache))
         serial.prefetch(list(SWEEP_LABELS))
         serial_bytes = {
             path.stem: path.read_bytes()
@@ -387,23 +349,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--queue-limit", type=int, default=8, help="admission queue bound"
     )
-    parser.add_argument(
-        "--record",
-        action="store_true",
-        help="fold the results into the newest BENCH_throughput.json snapshot",
-    )
-    parser.add_argument(
-        "--out",
-        default=str(DEFAULT_BENCH),
-        help="snapshot file for --record",
-    )
     args = parser.parse_args(argv)
     if args.smoke:
         return run_smoke(args)
-    entry = run_load(args)
-    print(json.dumps(entry, indent=2))
-    if args.record:
-        record_entry(Path(args.out), entry)
+    print(json.dumps(run_load(args), indent=2))
     return 0
 
 

@@ -45,8 +45,8 @@ from repro.bench import (  # noqa: E402
     SWEEP_SCALE,
     SWEEP_SIZES,
     SWEEP_SLICE_REFS,
+    sweep_config,
 )
-from repro.experiments.config import ExperimentConfig  # noqa: E402
 from repro.experiments.runner import Runner, iter_cache_files  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 from repro.service.client import ServiceError  # noqa: E402
@@ -118,16 +118,7 @@ def _drain(proc: subprocess.Popen) -> None:
 def serial_ground_truth(work_dir: Path) -> dict[str, bytes]:
     """Run the same grid serially into a separate cache; key -> bytes."""
     serial_cache = work_dir / "serial-cache"
-    runner = Runner(
-        ExperimentConfig(
-            scale=SWEEP_SCALE,
-            slice_refs=SWEEP_SLICE_REFS,
-            issue_rates=tuple(SWEEP_RATES),
-            sizes=tuple(SWEEP_SIZES),
-            seed=0,
-            cache_dir=serial_cache,
-        )
-    )
+    runner = Runner(sweep_config(serial_cache))
     for label in SWEEP_LABELS:
         runner.grid(label)
     return {
