@@ -33,6 +33,7 @@ file under the final name.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -50,18 +51,23 @@ META_DIRNAME = "_meta"
 
 MANIFEST_FILENAME = "manifest.json"
 
+#: Per-process sequence that makes each :func:`atomic_write_text` temp
+#: name unique among the process's threads.
+_TEMP_IDS = itertools.count()
+
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
     """Durably replace ``path``'s contents with ``text``.
 
     The write goes to a temp file in the same directory (same
     filesystem, so ``os.replace`` is atomic), is fsynced, and only then
-    renamed over the destination.  Concurrent writers race benignly:
-    the last rename wins with either writer's complete bytes.
+    renamed over the destination.  Each call stages in a temp file of
+    its own, so concurrent writers -- processes or threads -- race
+    benignly: the last rename wins with either writer's complete bytes.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
+    tmp = path.parent / f".{path.name}.tmp-{os.getpid()}-{next(_TEMP_IDS)}"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)

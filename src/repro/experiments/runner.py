@@ -109,6 +109,11 @@ GRID_BUILDERS: dict[str, Callable[[int, int], MachineParams]] = {
 #: each).  The paper's five grids at one workload are 90 cells.
 PLAN_MEMO_CELLS = 1024
 
+#: How many validated record texts the process-wide decode memo keeps,
+#: each with its decoded record (about 5 KiB together at the paper's
+#: grids).  Sized like :data:`PLAN_MEMO_CELLS`: one entry per cell.
+DECODE_MEMO_RECORDS = 1024
+
 
 # ----------------------------------------------------------------------
 # Cell plan: every grid cell's machine and cache key
@@ -184,6 +189,7 @@ def encode_cache_entry(record: RunRecord) -> str:
     )
 
 
+@functools.lru_cache(maxsize=DECODE_MEMO_RECORDS)
 def decode_cache_entry(text: str) -> RunRecord:
     """Validate and decode one cache file's contents.
 
@@ -191,6 +197,13 @@ def decode_cache_entry(text: str) -> RunRecord:
     mismatched schema/workload version, or a checksum that disagrees
     with the payload -- every way a torn write, a stale simulator or a
     tampering editor can corrupt a record.
+
+    Validation is a pure function of the text, so a bounded,
+    process-wide memo maps each text that passed every check to its
+    record: a text byte-equal to a validated one skips the parse, the
+    checksum and ``RunRecord.from_dict``; any other text is validated in
+    full.  An exception is never memoized.  Every caller of one text
+    shares one record, which nobody mutates.
     """
     envelope = parse_envelope(text, CACHE_SCHEMA)
     payload = envelope.get("record")
@@ -214,7 +227,10 @@ def read_cache_entry(path: Path) -> RunRecord:
 
     The one read path of every record reader.  Raises ``OSError`` when
     the file cannot be read, and :class:`CacheIntegrityError` when its
-    bytes are not UTF-8 or fail :func:`decode_cache_entry`.
+    bytes are not UTF-8 or fail :func:`decode_cache_entry`.  The file is
+    read on every call and only the decode is memoized, so a record
+    rewritten in place is judged by its new bytes, whatever its size and
+    mtime.
     """
     try:
         text = path.read_text("utf-8")

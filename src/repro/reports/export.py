@@ -15,6 +15,7 @@ produces the same bytes, whichever path rendered it (offline CLI,
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 
@@ -27,7 +28,9 @@ from repro.analysis.figures_svg import (
 )
 from repro.analysis.fractions import level_fraction_rows
 from repro.analysis.report import format_rate
+from repro.analysis.runtime import RunRecord
 from repro.core.errors import ConfigurationError
+from repro.experiments.config import ExperimentConfig
 from repro.reports.builder import GridReport, ReportCell
 
 #: Envelope identifier carried by the JSON export.
@@ -45,6 +48,12 @@ CONTENT_TYPES = {
     "csv": "text/csv; charset=utf-8",
 }
 
+#: How many rendered exports the process-wide export memo keeps.  Ten
+#: report names in five formats are 50 exports of one workload: 1.2 MiB
+#: with their keys at the paper's grids, the largest (``figures`` as
+#: JSON) 150 KB.
+EXPORT_MEMO_REPORTS = 64
+
 _GAP = "—"  # em dash: the tables' explicit missing-cell marker
 
 # Panel geometry shared by the SVG composition (the figure panels are
@@ -55,14 +64,79 @@ _HEADER_H = 40
 
 
 def export_report(report: GridReport, fmt: str) -> bytes:
-    """Render ``report`` as ``fmt`` bytes; raises on unknown formats."""
-    try:
-        render = _RENDERERS[fmt]
-    except KeyError:
+    """Render ``report`` as ``fmt`` bytes; raises on unknown formats.
+
+    The bytes come from a bounded, process-wide memo keyed on everything
+    a renderer reads: the format, the report's name, labels and config,
+    and each cell's label, key, kind, issue rate, size and record.  An
+    unchanged report therefore costs no render, and a report whose cells
+    changed in any way is rendered afresh.
+    """
+    if fmt not in _RENDERERS:
         raise ConfigurationError(
             f"unknown report format {fmt!r}; known: {list(FORMATS)}"
-        ) from None
-    return render(report).encode("utf-8")
+        )
+    cells = tuple(
+        (
+            cell.label,
+            cell.key,
+            cell.kind,
+            cell.issue_rate_hz,
+            cell.size_bytes,
+            _Same(cell.record),
+        )
+        for cell in report.cells
+    )
+    config = report.config
+    return _export(fmt, report.name, report.labels, config, repr(config), cells)
+
+
+class _Same:
+    """A cell's record (``None`` for a gap), hashed and compared by identity.
+
+    Equal records need not print alike (``1`` and ``1.0`` compare
+    equal), while one object always does.  The decode memo hands every
+    reader of one validated text the same record, and the memo entry
+    holding this wrapper keeps its ``id`` from being reused.
+    """
+
+    __slots__ = ("record",)
+
+    def __init__(self, record: RunRecord | None) -> None:
+        self.record = record
+
+    def __hash__(self) -> int:
+        return id(self.record)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Same) and self.record is other.record
+
+
+@functools.lru_cache(maxsize=EXPORT_MEMO_REPORTS)
+def _export(
+    fmt: str,
+    name: str,
+    labels: tuple[str, ...],
+    config: ExperimentConfig,
+    config_repr: str,
+    cells: tuple,
+) -> bytes:
+    """One export, rendered from its memo key alone.
+
+    ``config_repr`` is ``repr(config)``: configs that compare equal
+    can print differently (``scale=1`` and ``scale=1.0``), and the
+    exports print them.
+    """
+    report = GridReport(
+        name=name,
+        labels=labels,
+        config=config,
+        cells=[
+            ReportCell(label, key, kind, rate, size, same.record)
+            for label, key, kind, rate, size, same in cells
+        ],
+    )
+    return _RENDERERS[fmt](report).encode("utf-8")
 
 
 # --------------------------------------------------------------------------

@@ -63,6 +63,7 @@ from repro.reports import (
     CONTENT_TYPES,
     DASHBOARD_HTML,
     FORMATS,
+    GridReport,
     build_report,
     cache_status,
     export_report,
@@ -162,6 +163,21 @@ def _report_config(base: ExperimentConfig, query: dict[str, str]) -> ExperimentC
             )
             overrides["issue_rates" if name == "rates" else "sizes"] = values
     return replace(base, **overrides) if overrides else base
+
+
+def _render_report(
+    name: str, config: ExperimentConfig, fmt: str, min_complete: float
+) -> tuple[GridReport, bytes | None]:
+    """Build report ``name`` and export it as ``fmt``.
+
+    The bytes are ``None`` when the report is less than ``min_complete``
+    complete.  Both steps go through this module's ``build_report`` and
+    ``export_report`` names, which perfbench's traced run wraps.
+    """
+    report = build_report(name, config)
+    if report.completeness < min_complete:
+        return report, None
+    return report, export_report(report, fmt)
 
 
 class SweepService:
@@ -498,16 +514,21 @@ class SweepService:
         if not _KEY_RE.match(key):
             await self._respond(writer, 400, {"error": "invalid record key"})
             return
-        path = self.scheduler.record_path(key)
-        if path is None or not path.exists():
-            await self._respond(writer, 404, {"error": f"no record {key}"})
-            return
         # The raw cache file, byte for byte -- the envelope checksum the
         # client verifies is the one the runner wrote.  That checksum
         # also makes a natural validator: the ETag is the envelope's
         # record checksum, so pollers can revalidate with
         # ``If-None-Match`` instead of refetching record bytes.
-        blob = path.read_bytes()
+        path = self.scheduler.record_path(key)
+        blob = None
+        if path is not None:
+            try:
+                blob = path.read_bytes()
+            except OSError:  # quarantined or purged since the lookup
+                pass
+        if blob is None:
+            await self._respond(writer, 404, {"error": f"no record {key}"})
+            return
         etag = f'"{_record_etag(blob)}"'
         if _etag_matches(headers.get("if-none-match", ""), etag):
             await self._respond(
@@ -559,14 +580,16 @@ class SweepService:
             return
         loop = asyncio.get_running_loop()
         try:
-            # Key derivation + cache reads; keep them off the event loop.
-            report = await loop.run_in_executor(
-                None, functools.partial(build_report, name, config)
+            # Key derivation, cache reads and the render: off the event
+            # loop, in one executor call.
+            report, body = await loop.run_in_executor(
+                None,
+                functools.partial(_render_report, name, config, fmt, min_complete),
             )
         except ConfigurationError as exc:  # a grid no machine can be built for
             await self._respond(writer, 400, {"error": str(exc)})
             return
-        if report.completeness < min_complete:
+        if body is None:
             await self._respond(
                 writer,
                 409,
@@ -579,9 +602,6 @@ class SweepService:
                 },
             )
             return
-        body = await loop.run_in_executor(
-            None, functools.partial(export_report, report, fmt)
-        )
         await self._respond(
             writer, 200, raw=body, content_type=CONTENT_TYPES[fmt]
         )

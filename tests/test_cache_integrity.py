@@ -9,6 +9,7 @@ share one cache directory.
 
 import json
 import os
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,9 +19,11 @@ from helpers import tree_state
 from repro.analysis.runtime import RunRecord
 from repro.core import observe
 from repro.core.errors import CacheIntegrityError
+from repro.experiments import runner as runner_mod
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     CACHE_SCHEMA,
+    DECODE_MEMO_RECORDS,
     QUARANTINE_SUFFIX,
     SHARD_DIRNAME,
     Runner,
@@ -114,6 +117,79 @@ def test_checksum_covers_the_payload(tmp_path):
     envelope["record"]["seconds"] = envelope["record"]["seconds"] + 1.0
     with pytest.raises(CacheIntegrityError, match="checksum mismatch"):
         decode_cache_entry(json.dumps(envelope))
+
+
+# ----------------------------------------------------------------------
+# The decode memo: one validation per distinct text
+# ----------------------------------------------------------------------
+
+#: A record for decode tests that need no simulation.
+SYNTHETIC = RunRecord(
+    label="baseline",
+    kind="conventional",
+    issue_rate_hz=10**9,
+    size_bytes=1024,
+    switch_on_miss=False,
+    seconds=0.5,
+    time_ps=5 * 10**11,
+    stats={"level_times": {"l1i": 3, "dram": 4}, "ifetches": 7},
+)
+
+
+def test_decoding_one_text_twice_parses_and_hashes_it_once(monkeypatch):
+    """A text byte-equal to a validated one skips the JSON parse and the
+    checksum; any other text, valid or not, is validated in full, and a
+    failure is never memoized."""
+    text = encode_cache_entry(SYNTHETIC)
+    calls: Counter = Counter()
+
+    def counting(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(
+        runner_mod, "parse_envelope", counting("parse", runner_mod.parse_envelope)
+    )
+    monkeypatch.setattr(
+        runner_mod, "record_checksum", counting("checksum", runner_mod.record_checksum)
+    )
+    decode_cache_entry.cache_clear()
+    first = decode_cache_entry(text)
+    assert decode_cache_entry(text) is first
+    assert first == SYNTHETIC
+    assert calls == {"parse": 1, "checksum": 1}
+
+    respaced = json.dumps(json.loads(text), indent=1)
+    assert decode_cache_entry(respaced) == SYNTHETIC
+    assert calls == {"parse": 2, "checksum": 2}
+
+    tampered = text.replace('"ifetches": 7', '"ifetches": 8')
+    assert len(tampered) == len(text)
+    for expected in (3, 4):
+        with pytest.raises(CacheIntegrityError, match="checksum mismatch"):
+            decode_cache_entry(tampered)
+        assert calls == {"parse": expected, "checksum": expected}
+
+
+def test_decode_memo_evicts_its_oldest_text_at_its_bound():
+    texts = [
+        encode_cache_entry(replace(SYNTHETIC, time_ps=index))
+        for index in range(DECODE_MEMO_RECORDS + 1)
+    ]
+    decode_cache_entry.cache_clear()
+    for text in texts:
+        decode_cache_entry(text)
+    info = decode_cache_entry.cache_info()
+    assert info.maxsize == DECODE_MEMO_RECORDS
+    assert info.currsize == DECODE_MEMO_RECORDS
+    assert info.misses == len(texts)
+    decode_cache_entry(texts[-1])
+    assert decode_cache_entry.cache_info().hits == info.hits + 1
+    decode_cache_entry(texts[0])
+    assert decode_cache_entry.cache_info().misses == info.misses + 1
 
 
 # ----------------------------------------------------------------------

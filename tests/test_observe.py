@@ -105,6 +105,42 @@ def test_atomic_write_failure_leaves_old_contents(tmp_path, monkeypatch):
     assert [item.name for item in tmp_path.iterdir()] == ["file.json"]
 
 
+def test_threads_writing_one_path_each_commit_whole_bytes(tmp_path):
+    """Two threads of one process write one path at once, 100 times:
+    every race ends with one writer's complete bytes, no exception and
+    no temp file left behind."""
+    import sys
+    import threading
+
+    target = tmp_path / "file.json"
+    texts = ("a" * 200_000, "b" * 300_000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _trial in range(100):
+            barrier = threading.Barrier(len(texts))
+            errors: list[BaseException] = []
+
+            def write(text: str) -> None:
+                barrier.wait(timeout=10)
+                try:
+                    atomic_write_text(target, text)
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=write, args=(t,)) for t in texts]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert errors == []
+            assert target.read_text("utf-8") in texts
+            assert [item.name for item in tmp_path.iterdir()] == ["file.json"]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # ----------------------------------------------------------------------
 # CacheStats + manifest
 # ----------------------------------------------------------------------

@@ -10,7 +10,10 @@ between the offline cache path and ``--server``.
 import csv
 import io
 import json
+import os
 import shutil
+import sys
+import threading
 import urllib.error
 import urllib.request
 import xml.etree.ElementTree as ET
@@ -22,7 +25,8 @@ import pytest
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import Runner, find_record
+from repro.experiments.runner import Runner, decode_cache_entry, find_record
+from repro.reports import export as export_mod
 from repro.reports import (
     CONTENT_TYPES,
     FORMATS,
@@ -31,6 +35,7 @@ from repro.reports import (
     export_report,
     report_names,
 )
+from repro.reports.export import EXPORT_MEMO_REPORTS
 from repro.reports.status import cache_status
 from repro.service import ServiceClient, ServiceError, ServiceThread, SweepService
 from repro.trace import materialize
@@ -217,6 +222,140 @@ def test_export_unknown_format_raises(warm):
     report = build_report("baseline", warm)
     with pytest.raises(ConfigurationError, match="unknown report format"):
         export_report(report, "tiff")
+
+
+# ----------------------------------------------------------------------
+# Read memos: the decode memo under the builder, the export memo
+# ----------------------------------------------------------------------
+
+
+def _exports(name, config) -> dict[str, bytes]:
+    return {fmt: export_report(build_report(name, config), fmt) for fmt in FORMATS}
+
+
+def _clear_memos() -> None:
+    decode_cache_entry.cache_clear()
+    export_mod._export.cache_clear()
+
+
+def test_record_rewritten_in_place_is_validated_again(warm, tmp_path):
+    """Same-length bytes with the mtime restored: the builder reads a
+    gap, the runner quarantines and recomputes the cell, and restored
+    bytes render the original exports."""
+    cache_copy = tmp_path / "cache"
+    shutil.copytree(warm.cache_dir, cache_copy)
+    config = replace(warm, cache_dir=cache_copy)
+    before = _exports("figures", config)
+    victim = build_report("figures", config).cells[0]
+    path = find_record(cache_copy, victim.key)
+    original = path.read_bytes()
+    stat = path.stat()
+    # One payload digit changed: valid JSON whose checksum fails.
+    at = original.index(b'"time_ps": ') + len(b'"time_ps": ')
+    digit = b"1" if original[at : at + 1] != b"1" else b"2"
+    damaged = original[:at] + digit + original[at + 1 :]
+
+    def rewrite(blob: bytes) -> None:
+        path.write_bytes(blob)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+
+    rewrite(damaged)
+    report = build_report("figures", config)
+    assert [cell.key for cell in report.missing()] == [victim.key]
+    assert export_report(report, "json") != before["json"]
+    rewrite(original)
+    assert _exports("figures", config) == before
+
+    rewrite(damaged)
+    runner = Runner(config)
+    runner.grid(victim.label)
+    assert [event["key"] for event in runner.events.of("cache_quarantined")] == [
+        victim.key
+    ]
+    assert path.read_bytes() == original
+    assert _exports("figures", config) == before
+
+
+def test_report_that_gains_a_record_renders_as_with_cleared_memos(warm, tmp_path):
+    cache_copy = tmp_path / "cache"
+    shutil.copytree(warm.cache_dir, cache_copy)
+    config = replace(warm, cache_dir=cache_copy)
+    path = find_record(cache_copy, build_report("figures", config).cells[-1].key)
+    blob = path.read_bytes()
+    path.unlink()
+    gap = _exports("figures", config)
+    assert json.loads(gap["json"])["present"] == len(FIGURE_LABELS) * 4 - 1
+    path.write_bytes(blob)
+    gained = _exports("figures", config)
+    assert all(gained[fmt] != gap[fmt] for fmt in FORMATS)
+    _clear_memos()
+    assert _exports("figures", config) == gained
+
+
+def test_export_memo_evicts_its_oldest_render_at_its_bound(tmp_path):
+    reports = [
+        build_report(
+            "baseline",
+            ExperimentConfig(
+                scale=0.0001,
+                slice_refs=2_000,
+                issue_rates=(10**9,),
+                sizes=(1024,),
+                seed=seed,
+                cache_dir=tmp_path,
+            ),
+        )
+        for seed in range(EXPORT_MEMO_REPORTS + 1)
+    ]
+    _clear_memos()
+    for report in reports:
+        export_report(report, "csv")
+    info = export_mod._export.cache_info()
+    assert info.maxsize == EXPORT_MEMO_REPORTS
+    assert info.currsize == EXPORT_MEMO_REPORTS
+    assert info.misses == len(reports)
+    export_report(reports[-1], "csv")
+    assert export_mod._export.cache_info().hits == info.hits + 1
+    export_report(reports[0], "csv")
+    assert export_mod._export.cache_info().misses == info.misses + 1
+
+
+def test_configs_that_compare_equal_but_print_apart_export_apart(warm):
+    """``seed=False`` equals ``seed=0`` but prints ``false``: a report
+    under either config gets its own bytes."""
+    report = build_report("baseline", warm)
+    respelled = replace(report, config=replace(warm, seed=False))
+    assert respelled.config == report.config
+    assert export_report(report, "json") != export_report(respelled, "json")
+    assert json.loads(export_report(respelled, "json"))["workload"]["seed"] is False
+
+
+def test_eight_threads_exporting_the_same_reports_get_identical_bytes(warm):
+    names = ("figures", "baseline", "figure5")
+    expected = {name: _exports(name, warm) for name in names}
+    _clear_memos()
+    barrier = threading.Barrier(8)
+    results: list[dict] = []
+
+    def fetch() -> None:
+        barrier.wait(timeout=30)
+        results.append({name: _exports(name, warm) for name in names})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fetch) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8
+    assert all(result == expected for result in results)
 
 
 # ----------------------------------------------------------------------

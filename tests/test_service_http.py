@@ -216,6 +216,33 @@ def test_sse_drains_events_queued_after_the_job_turns_terminal(
     assert svc.scheduler.unsubscribed
 
 
+class _VanishedRecord:
+    """A record path that was there when it was looked up and is gone
+    when it is read: quarantined or purged in between."""
+
+    def __init__(self, path) -> None:
+        self.path = path
+
+    def exists(self) -> bool:
+        return True
+
+    def read_bytes(self) -> bytes:
+        raise FileNotFoundError(2, "No such file or directory", str(self.path))
+
+
+def test_record_gone_after_its_lookup_is_a_404_naming_no_path(tmp_path, monkeypatch):
+    key = "e6" + "0" * 22
+    svc = SweepService(config(tmp_path / "cache"), port=0, workers=1)
+    gone = _VanishedRecord(tmp_path / "cache" / "shards" / "e6" / f"{key}.json")
+    monkeypatch.setattr(svc.scheduler, "record_path", lambda _key: gone)
+    writer = _Capture()
+    asyncio.run(svc._serve_record(key, {}, writer))
+    head, _, body = bytes(writer.data).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 404 ")
+    assert json.loads(body) == {"error": f"no record {key}"}
+    assert str(tmp_path).encode() not in body
+
+
 def test_http_error_surfaces(service):
     svc, url = service
     client = ServiceClient(url, retries=0)

@@ -9,8 +9,13 @@ issue rates — the speed-ratio sweep every paper table runs):
 2. submit the grid over HTTP and stream SSE progress to completion,
 3. fetch every record and assert it is **byte-identical** to what the
    serial in-process :class:`Runner` produces for the same cells, then
-   fetch each grid's report over ``/v1/reports`` (json + svg) and
-   assert completeness 1.0 and a well-formed SVG document,
+   fetch each grid's JSON report twice over ``/v1/reports`` and assert
+   both equal the offline ``export_report(build_report(...))``, with
+   completeness 1.0, plus a well-formed SVG document; overwrite one
+   record in place with same-length garbage, its mtime restored, and
+   assert the report answers 409 at ``min_complete=1.0`` -- the daemon's
+   read memos never serve stale bytes -- then restore the record and
+   assert the original report bytes again,
 4. SIGKILL the daemon mid-restart-resubmission, restart it over the
    same state directory, and assert the journalled job finishes
    entirely from cache (zero ``mode=full`` cells),
@@ -47,7 +52,12 @@ from repro.bench import (  # noqa: E402
     SWEEP_SLICE_REFS,
     sweep_config,
 )
-from repro.experiments.runner import Runner, iter_cache_files  # noqa: E402
+from repro.experiments.runner import (  # noqa: E402
+    Runner,
+    find_record,
+    iter_cache_files,
+)
+from repro.reports import build_report, export_report  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 from repro.service.client import ServiceError  # noqa: E402
 
@@ -173,9 +183,20 @@ def main() -> int:
         print("== report leg: /v1/reports over the freshly warmed cache ==")
         report_spec = {k: v for k, v in spec_payload().items()
                        if k != "labels"}
+        report_config = sweep_config(cache_dir)
+        offline = {}
         for grid in SWEEP_LABELS:
-            payload = json.loads(client.fetch_report(
-                grid, format="json", min_complete=1.0, spec=report_spec))
+            offline[grid] = export_report(
+                build_report(grid, report_config), "json")
+            served = [
+                client.fetch_report(grid, format="json", min_complete=1.0,
+                                    spec=report_spec)
+                for _ in range(2)
+            ]
+            check(served == [offline[grid]] * 2,
+                  f"report {grid} served twice, both byte-identical to "
+                  "the offline export")
+            payload = json.loads(served[0])
             check(payload["completeness"] == 1.0,
                   f"report {grid} is fully backed by cached records")
             check(len(payload["cells"]) == len(SWEEP_RATES) * len(SWEEP_SIZES)
@@ -189,6 +210,32 @@ def main() -> int:
         index = client.reports()
         check(set(SWEEP_LABELS) <= set(index["reports"]),
               "report index lists the sweep grids")
+        grid = SWEEP_LABELS[0]
+        victim = build_report(grid, report_config).cells[0]
+        record_file = find_record(cache_dir, victim.key)
+        original = record_file.read_bytes()
+        stat = record_file.stat()
+
+        def rewrite(blob: bytes) -> None:
+            record_file.write_bytes(blob)
+            os.utime(record_file, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+
+        rewrite(b"x" * len(original))
+        try:
+            client.fetch_report(grid, format="json", min_complete=1.0,
+                                spec=report_spec)
+        except ServiceError as exc:
+            status = exc.status
+        else:
+            status = 200
+        check(status == 409,
+              f"record {victim.key} overwritten in place (same length and "
+              f"mtime) is a gap: report {grid} answers {status}")
+        rewrite(original)
+        restored = client.fetch_report(grid, format="json", min_complete=1.0,
+                                       spec=report_spec)
+        check(restored == offline[grid],
+              f"restored record: report {grid} serves its original bytes")
 
         print("== leg 2: SIGKILL mid-flight, journal recovery on restart ==")
         # Rewind the journal to the unacked submission: the daemon
