@@ -17,13 +17,11 @@ moves the block-size trade-off, which is exactly what the paper asked
 future work to establish.
 """
 
+from dataclasses import replace
 
 from repro.analysis.report import render_table
-from repro.analysis.runtime import RunRecord
-from repro.experiments.runner import ExperimentOutput
+from repro.experiments.runner import ExperimentOutput, Runner
 from repro.systems.factory import twoway_machine
-from repro.systems.simulator import simulate
-from repro.trace.synthetic import build_workload
 
 
 def test_short_slices_favour_larger_blocks(benchmark, runner, emit):
@@ -31,15 +29,14 @@ def test_short_slices_favour_larger_blocks(benchmark, runner, emit):
     rate = config.fast_rate
 
     def run_ablation():
+        # The quantum is part of every record key, so each quantum is
+        # its own Runner over the shared cache.
         results = {}
         for slice_refs in (5_000, 20_000, 80_000):
+            quantum = Runner(replace(config, slice_refs=slice_refs), events=runner.events)
             for block in (128, 4096):
-                programs = build_workload(config.scale, seed=config.seed)
-                result = simulate(
-                    twoway_machine(rate, block), programs, slice_refs=slice_refs
-                )
-                results[(slice_refs, block)] = RunRecord.from_result(
-                    "twoway", block, result
+                results[(slice_refs, block)] = quantum.record(
+                    "twoway", twoway_machine(rate, block)
                 )
         return results
 

@@ -15,33 +15,21 @@ run-time gain is modest; the big win the idea promises in real hardware
 noted as such.
 """
 
-from repro.analysis.runtime import RunRecord
 from repro.analysis.report import render_table
-from repro.experiments.runner import ExperimentOutput
-from repro.systems.factory import rampage_machine
-from repro.systems.simulator import Simulator
-from repro.systems.virtual_l1 import VirtualL1RampageSystem
-from repro.trace.interleave import InterleavedWorkload
-from repro.trace.synthetic import build_workload
+from repro.experiments.runner import GRID_BUILDERS, ExperimentOutput
 
 
 def test_virtual_l1_cuts_tlb_traffic(benchmark, runner, emit):
-    config = runner.config
-    rate = config.fast_rate
+    rate = runner.config.fast_rate
 
     def run_ablation():
-        rows = {}
-        for size in (128, 512, 2048):
-            phys = runner.record("rampage", rampage_machine(rate, size))
-            system = VirtualL1RampageSystem(rampage_machine(rate, size))
-            workload = InterleavedWorkload(
-                build_workload(config.scale, seed=config.seed),
-                slice_refs=config.slice_refs,
+        return {
+            size: tuple(
+                runner.record(label, GRID_BUILDERS[label](rate, size))
+                for label in ("rampage", "rampage_vl1")
             )
-            result = Simulator(system, workload).run()
-            virt = RunRecord.from_result("rampage_virtual_l1", size, result)
-            rows[size] = (phys, virt)
-        return rows
+            for size in (128, 512, 2048)
+        }
 
     rows = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
     table_rows = [

@@ -1,24 +1,15 @@
 """Regenerates Figure 2: per-level time fractions at the slow issue rate.
 
-Paper shape checked here (section 5.3):
-* L1d time is a very low fraction (it is purely inclusion maintenance;
-  data hits are fully pipelined);
-* the conventional machine's DRAM fraction grows with block size;
-* RAMpage spends a smaller fraction of its time in DRAM than the
-  baseline at every size (its full associativity cuts misses).
+Checks the ``figure2`` claims of :mod:`repro.experiments.claims`
+(section 5.3): L1d time is a very low fraction, the conventional
+machine's DRAM fraction grows with block size, and RAMpage's DRAM
+fraction is below the baseline's at every size.
 """
 
 from repro.experiments.figures23 import run_figure2
 
 
-def test_figure2_level_fractions(benchmark, runner, emit):
+def test_figure2_level_fractions(benchmark, runner, emit, assert_claims):
     output = benchmark.pedantic(run_figure2, args=(runner,), rounds=1, iterations=1)
     emit(output)
-    baseline = output.data["baseline"]
-    rampage = output.data["rampage"]
-    for row in baseline + rampage:
-        assert row["l1d"] < 0.2
-    dram = [row["dram"] for row in baseline]
-    assert dram[-1] > dram[0]  # grows with block size
-    for base_row, ramp_row in zip(baseline, rampage):
-        assert ramp_row["dram"] < base_row["dram"]
+    assert_claims(output.name)

@@ -1,20 +1,15 @@
 """Regenerates Figure 3: per-level time fractions at the fast issue rate.
 
-Paper shape checked here (section 5.3): "the RAMpage system is more
-tolerant of the increased DRAM latency" -- scaling the CPU up without
-the DRAM raises every DRAM fraction, but RAMpage's stays below the
-conventional machine's.
+Checks the ``figure3`` claims of :mod:`repro.experiments.claims`
+(section 5.3): "the RAMpage system is more tolerant of the increased
+DRAM latency" -- scaling the CPU up without the DRAM raises every DRAM
+fraction, but RAMpage's stays below the conventional machine's.
 """
 
-from repro.experiments.figures23 import run_figure2, run_figure3
+from repro.experiments.figures23 import run_figure3
 
 
-def test_figure3_level_fractions(benchmark, runner, emit):
+def test_figure3_level_fractions(benchmark, runner, emit, assert_claims):
     output = benchmark.pedantic(run_figure3, args=(runner,), rounds=1, iterations=1)
     emit(output)
-    slow = run_figure2(runner)  # cached: no extra simulation
-    for panel in ("baseline", "rampage"):
-        for slow_row, fast_row in zip(slow.data[panel], output.data[panel]):
-            assert fast_row["dram"] > slow_row["dram"]
-    for base_row, ramp_row in zip(output.data["baseline"], output.data["rampage"]):
-        assert ramp_row["dram"] < base_row["dram"]
+    assert_claims(output.name)

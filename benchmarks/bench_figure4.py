@@ -1,28 +1,15 @@
 """Regenerates Figure 4: TLB miss + page fault handling overheads.
 
-Paper shape checked here (section 5.3):
-* RAMpage's software overhead is largest at 128-byte pages (paper: "as
-  high as 60% ... reflecting the relatively small 64-entry TLB") and
-  falls steeply with page size;
-* the baseline's overhead is flat across block sizes (its TLB maps
-  fixed 4 KB DRAM pages regardless of the L2 block size).
+Checks the ``figure4`` claims of :mod:`repro.experiments.claims`
+(section 5.3): RAMpage's overhead is largest at the smallest page and
+falls steeply with page size, approaching the baseline's at the largest
+page, and the baseline's is flat across block sizes.
 """
 
 from repro.experiments import figure4
 
 
-def test_figure4_overheads(benchmark, runner, emit):
+def test_figure4_overheads(benchmark, runner, emit, assert_claims):
     output = benchmark.pedantic(figure4.run, args=(runner,), rounds=1, iterations=1)
     emit(output)
-    rows = output.data["rows"]
-    rampage = [row["rampage"] for row in rows]
-    baseline = [row["baseline"] for row in rows]
-    # Monotone-ish decrease for RAMpage: largest at the smallest page,
-    # smallest at the largest.
-    assert rampage[0] == max(rampage)
-    assert rampage[-1] == min(rampage)
-    assert rampage[0] > 4 * rampage[-1]
-    # Baseline flat.
-    assert max(baseline) - min(baseline) < 0.01
-    # At the largest page RAMpage's overhead approaches the baseline's.
-    assert rampage[-1] < baseline[-1] + 0.60
+    assert_claims(output.name)

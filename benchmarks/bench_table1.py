@@ -1,26 +1,13 @@
 """Regenerates Table 1: Direct Rambus vs disk bandwidth efficiency.
 
-Paper claims checked here:
-* Rambus efficiency exceeds disk efficiency at every transfer size;
-* the section 3.5 worked example (4 KB at 1 GHz: ~10 M instructions for
-  disk, ~2,600 for Direct Rambus) is matched to within 1%.
+Checks the ``table1`` claims of :mod:`repro.experiments.claims`,
+including the section 3.5 worked example (4 KB at 1 GHz).
 """
-
-import pytest
 
 from repro.experiments import table1
 
 
-def test_table1_efficiency(benchmark, emit):
+def test_table1_efficiency(benchmark, emit, assert_claims):
     output = benchmark.pedantic(table1.run, rounds=1, iterations=1)
     emit(output)
-    rows = output.data["rows"]
-    assert all(row["rambus_pct"] > row["disk_pct"] for row in rows)
-    pcts = [row["rambus_pct"] for row in rows]
-    assert pcts == sorted(pcts)  # efficiency rises with transfer size
-    assert output.data["rambus_cost_instructions_4k_1ghz"] == pytest.approx(
-        2600, rel=0.01
-    )
-    assert output.data["disk_cost_instructions_4k_1ghz"] == pytest.approx(
-        10e6, rel=0.02
-    )
+    assert_claims(output.name)

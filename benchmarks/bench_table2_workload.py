@@ -1,25 +1,19 @@
 """Regenerates Table 2: the workload catalogue, plus generator throughput.
 
-Checks the catalogue totals ~1.1 G references as in the paper and that
-each synthetic generator's instruction-fetch fraction matches its
-Table 2 row.  The benchmark measures trace-generation throughput, the
-substrate cost under every simulation.
+Checks the ``table2`` claims of :mod:`repro.experiments.claims` (the
+catalogue total and each generator's instruction-fetch fraction).  The
+benchmark measures trace-generation throughput, the substrate cost
+under every simulation.
 """
-
-import pytest
 
 from repro.experiments import table2
 from repro.trace.synthetic import build_workload
 
 
-def test_table2_catalogue(benchmark, runner, emit):
+def test_table2_catalogue(benchmark, runner, emit, assert_claims):
     output = benchmark.pedantic(table2.run, args=(runner,), rounds=1, iterations=1)
     emit(output)
-    assert output.data["total_millions"] == pytest.approx(1093.1, abs=0.5)
-    for row in output.data["programs"]:
-        assert row["ifetch_fraction_measured"] == pytest.approx(
-            row["ifetch_fraction_paper"], abs=0.05
-        )
+    assert_claims(output.name)
 
 
 def test_trace_generation_throughput(benchmark):

@@ -1,28 +1,15 @@
 """Regenerates Table 3: baseline direct-mapped L2 vs RAMpage run times.
 
-Paper shape checked here (section 5.2):
-* RAMpage's best time beats the baseline's best at the fastest issue
-  rate (paper: 26% faster at 4 GHz);
-* the RAMpage advantage grows as the CPU-DRAM speed gap grows
-  (paper: 6% at 200 MHz -> 26% at 4 GHz);
-* small RAMpage pages lose to larger ones -- TLB overhead (paper: "the
-  RAMpage hierarchy performs better with larger page sizes in SRAM").
+Checks the ``table3`` claims of :mod:`repro.experiments.claims`
+(section 5.2): RAMpage wins at the fastest rate, its advantage grows
+with the CPU-DRAM speed gap, and its smallest page is its worst.  The
+200 MHz win is a known distortion at reduced scale, reported only.
 """
 
 from repro.experiments import table3
 
 
-def test_table3_runtimes(benchmark, runner, emit):
+def test_table3_runtimes(benchmark, runner, emit, assert_claims):
     output = benchmark.pedantic(table3.run, args=(runner,), rounds=1, iterations=1)
     emit(output)
-    summary = {e["issue_rate_hz"]: e for e in output.data["summary"]}
-    slow = summary[min(summary)]
-    fast = summary[max(summary)]
-    # The win grows with the speed gap.
-    assert fast["rampage_speedup"] > slow["rampage_speedup"]
-    # At the fastest rate RAMpage wins outright.
-    assert fast["rampage_speedup"] > 0
-    # RAMpage's 128-byte pages are its worst configuration at 200 MHz.
-    sizes = output.data["sizes"]
-    slow_rampage = output.data["rampage_seconds"]["200MHz"]
-    assert slow_rampage[sizes.index(128)] == max(slow_rampage)
+    assert_claims(output.name)

@@ -1,32 +1,21 @@
 """Regenerates Table 5: 2-way associative L2 with scheduled switches.
 
-Paper shape checked here (sections 4.7, 5.5):
-* the 2-way machine beats the direct-mapped baseline at matching
-  configurations (that is what the extra hardware buys);
-* adding the context-switch trace itself is a small effect (paper:
-  "the difference made by adding a trace of context switching code and
-  data is insignificant (under 1%)") -- checked against a no-switch
-  2-way run at one configuration.
+Checks the ``table5`` claims of :mod:`repro.experiments.claims`
+(section 5.5), and one claim the registry cannot read from the grids
+(section 4.7): adding the context-switch trace itself is a small effect
+(paper: "the difference made by adding a trace of context switching
+code and data is insignificant (under 1%)") -- checked against a
+no-switch 2-way run at one configuration.
 """
 
 from repro.experiments import table5
 from repro.systems.factory import twoway_machine
 
 
-def test_table5_two_way(benchmark, runner, emit):
+def test_table5_two_way(benchmark, runner, emit, assert_claims):
     output = benchmark.pedantic(table5.run, args=(runner,), rounds=1, iterations=1)
     emit(output)
-    baseline = runner.grid("baseline")
-    twoway = runner.grid("twoway")
-    config = runner.config
-    wins = sum(
-        1
-        for rate in config.issue_rates
-        for size in config.sizes
-        if twoway.cell(rate, size).time_ps <= baseline.cell(rate, size).time_ps * 1.01
-    )
-    total = len(config.issue_rates) * len(config.sizes)
-    assert wins >= total * 0.7  # associativity wins almost everywhere
+    assert_claims(output.name)
 
 
 def test_switch_trace_effect_is_small(benchmark, runner):

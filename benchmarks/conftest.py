@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import ExperimentConfig, Runner
+from repro.experiments.claims import CLAIMS
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -43,3 +44,28 @@ def emit(results_dir):
         output.write_to(results_dir)
 
     return _emit
+
+
+@pytest.fixture(scope="session")
+def assert_claims(runner):
+    """Assert a section's registry claims at the benchmark runner's grid.
+
+    Every claim of ``section`` (an experiment name) is printed with its
+    measured value and verdict.  A claim with a known-distortion note
+    is reported, not asserted.
+    """
+
+    def _assert(section: str) -> None:
+        failed = []
+        for claim in CLAIMS:
+            if claim.section != section:
+                continue
+            measured, holds = claim.check(runner)
+            print(f"{claim.id}: {measured} ({'holds' if holds else 'does not hold'})")
+            if claim.note:
+                print(f"  known distortion: {claim.note}")
+            elif not holds:
+                failed.append(f"{claim.id} ({claim.paper}): measured {measured}")
+        assert not failed, failed
+
+    return _assert

@@ -38,6 +38,7 @@ from repro.core.errors import (
 )
 from repro.core.timer import ScopedTimer, refs_per_second
 from repro.experiments import ExperimentConfig, ParallelRunner, Runner
+from repro.experiments.config import integer_list
 from repro.experiments.runner import (
     iter_cache_files,
     iter_quarantined_files,
@@ -83,6 +84,26 @@ _MACHINES = {
     "twoway": twoway_machine,
     "rampage": rampage_machine,
 }
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    """argparse type of --rates/--sizes: a comma-separated integer list.
+
+    A bad item is a usage error (exit 2) naming the flag.
+    """
+    try:
+        return integer_list(text, "each item")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _add_workload_knobs(cmd: argparse.ArgumentParser) -> None:
+    """The workload flags of ``report`` and ``submit``."""
+    cmd.add_argument("--rates", type=_integers, help="comma-separated issue rates (Hz)")
+    cmd.add_argument("--sizes", type=_integers, help="comma-separated block/page bytes")
+    cmd.add_argument("--scale", type=float, help="workload scale factor")
+    cmd.add_argument("--slice-refs", type=int, help="scheduling quantum")
+    cmd.add_argument("--seed", type=int, help="workload seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,11 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--server",
         help="render via a running daemon instead of the local cache",
     )
-    report_cmd.add_argument("--rates", help="comma-separated issue rates (Hz)")
-    report_cmd.add_argument("--sizes", help="comma-separated block/page bytes")
-    report_cmd.add_argument("--scale", type=float, help="workload scale factor")
-    report_cmd.add_argument("--slice-refs", type=int, help="scheduling quantum")
-    report_cmd.add_argument("--seed", type=int, help="workload seed")
+    _add_workload_knobs(report_cmd)
 
     sweep_cmd = sub.add_parser("sweep", help="run one ad-hoc simulation")
     sweep_cmd.add_argument(
@@ -250,11 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--labels",
         help="comma-separated grid labels (default: baseline,rampage)",
     )
-    submit_cmd.add_argument("--rates", help="comma-separated issue rates (Hz)")
-    submit_cmd.add_argument("--sizes", help="comma-separated block/page bytes")
-    submit_cmd.add_argument("--scale", type=float, help="workload scale factor")
-    submit_cmd.add_argument("--slice-refs", type=int, help="scheduling quantum")
-    submit_cmd.add_argument("--seed", type=int, help="workload seed")
+    _add_workload_knobs(submit_cmd)
     submit_cmd.add_argument(
         "--wait", action="store_true", help="stream progress until terminal"
     )
@@ -555,20 +568,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _spec_payload(args: argparse.Namespace) -> dict:
-    """The JSON job spec a ``submit`` invocation describes."""
+    """The JSON job spec a ``submit`` or ``report --server`` invocation
+    describes."""
     payload: dict = {}
-    if args.labels:
+    if getattr(args, "labels", None):
         payload["labels"] = [
             token.strip() for token in args.labels.split(",") if token.strip()
         ]
     if args.rates:
-        payload["rates"] = [
-            int(float(token)) for token in args.rates.split(",") if token
-        ]
+        payload["rates"] = list(args.rates)
     if args.sizes:
-        payload["sizes"] = [
-            int(token) for token in args.sizes.split(",") if token
-        ]
+        payload["sizes"] = list(args.sizes)
     for field in ("scale", "slice_refs", "seed"):
         value = getattr(args, field, None)
         if value is not None:
@@ -713,17 +723,9 @@ def _report_overrides(
 ) -> ExperimentConfig:
     """Fold ``report``'s --rates/--sizes flags into the configuration."""
     if args.rates:
-        config = replace(
-            config,
-            issue_rates=tuple(
-                int(float(token)) for token in args.rates.split(",") if token
-            ),
-        )
+        config = replace(config, issue_rates=args.rates)
     if args.sizes:
-        config = replace(
-            config,
-            sizes=tuple(int(token) for token in args.sizes.split(",") if token),
-        )
+        config = replace(config, sizes=args.sizes)
     return config
 
 
@@ -733,25 +735,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.server:
         from repro.service.client import ServiceClient, ServiceError
 
-        spec: dict = {}
-        if args.rates:
-            spec["rates"] = [
-                int(float(token)) for token in args.rates.split(",") if token
-            ]
-        if args.sizes:
-            spec["sizes"] = [
-                int(token) for token in args.sizes.split(",") if token
-            ]
-        for field in ("scale", "slice_refs", "seed"):
-            value = getattr(args, field, None)
-            if value is not None:
-                spec[field] = value
         try:
             body = ServiceClient(args.server).fetch_report(
                 args.name,
                 format=args.format,
                 min_complete=args.min_complete,
-                spec=spec,
+                spec=_spec_payload(args),
             )
         except ServiceError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -32,7 +32,6 @@ from repro.core.params import (
     BusParams,
     CacheParams,
     DiskParams,
-    DramParams,
     HandlerCosts,
     L1Params,
     MachineParams,
@@ -58,7 +57,6 @@ __all__ = [
     "BusParams",
     "CacheParams",
     "DiskParams",
-    "DramParams",
     "HandlerCosts",
     "L1Params",
     "MachineParams",

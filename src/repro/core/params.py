@@ -198,10 +198,6 @@ class RambusParams:
         return self.bytes_per_beat / (self.ps_per_beat * 1e-12)
 
 
-# Backwards-compatible alias: the DRAM level of both machines is a Rambus.
-DramParams = RambusParams
-
-
 @dataclass(frozen=True)
 class DiskParams:
     """Disk used only for the Table 1 efficiency comparison."""

@@ -41,6 +41,37 @@ DEFAULT_SIZES = (128, 256, 512, 1024, 2048, 4096)
 DEFAULT_CACHE_DIR = Path(".repro_cache")
 
 
+def integral(value, name: str) -> int:
+    """``value`` as an exact integer, else a ValueError naming the field.
+
+    Integers, integral finite floats (``1e9``) and strings spelling
+    either pass; booleans, fractions, infinities and NaN do not.
+    """
+    if isinstance(value, str):
+        try:
+            return int(value.strip())
+        except ValueError:
+            try:
+                value = float(value)
+            except ValueError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def integer_list(text: str, name: str) -> tuple[int, ...]:
+    """A comma-separated list of :func:`integral` values (``2e8,4e9``).
+
+    Blank items are skipped; anything else that is not an exact integer
+    is a ValueError naming ``name``.  The one parser for the rates and
+    sizes knobs of the environment, the CLI and the report query.
+    """
+    return tuple(integral(token, name) for token in text.split(",") if token.strip())
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs shared by every experiment."""
@@ -102,14 +133,12 @@ class ExperimentConfig:
             kwargs["scale"] = float(env["REPRO_SCALE"])
         if "REPRO_SLICE_REFS" in env:
             kwargs["slice_refs"] = int(env["REPRO_SLICE_REFS"])
-        if "REPRO_RATES" in env:
-            kwargs["issue_rates"] = tuple(
-                int(float(token)) for token in env["REPRO_RATES"].split(",") if token
-            )
-        if "REPRO_SIZES" in env:
-            kwargs["sizes"] = tuple(
-                int(token) for token in env["REPRO_SIZES"].split(",") if token
-            )
+        for variable, field in (("REPRO_RATES", "issue_rates"), ("REPRO_SIZES", "sizes")):
+            if variable in env:
+                try:
+                    kwargs[field] = integer_list(env[variable], variable)
+                except ValueError as exc:
+                    raise ConfigurationError(str(exc)) from exc
         if "REPRO_SEED" in env:
             kwargs["seed"] = int(env["REPRO_SEED"])
         if "REPRO_CACHE_DIR" in env:

@@ -3,35 +3,38 @@
 The paper reports single trace-driven runs; with synthetic workloads we
 can do better -- regenerate the workload under several seeds and report
 mean, standard deviation and a t-based 95% confidence interval for any
-scalar metric.  :func:`compare` replicates two machines and tests
-whether one is faster with non-overlapping confidence intervals.
+scalar metric of a cell's :class:`~repro.analysis.runtime.RunRecord`.
+:func:`compare` replicates two machines and tests whether one is faster
+with non-overlapping confidence intervals.
 
-Seeds run in order, in process, so any callable -- lambdas included --
-works as a metric.
+Each seed's cell is computed by a :class:`~repro.experiments.runner.Runner`
+over the configuration with that seed, so it goes through the record
+cache, the trace artifact and the miss planes like any grid cell, and a
+rerun over a cache directory is warm.  Seeds run in order, in process,
+so any callable -- lambdas included -- works as a metric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from scipy import stats as scipy_stats
 
+from repro.analysis.runtime import RunRecord
 from repro.core.errors import ConfigurationError
 from repro.core.observe import EventLog
 from repro.core.params import MachineParams
 from repro.core.timer import ScopedTimer
 from repro.experiments.config import ExperimentConfig
-from repro.systems.base import SimulationResult
-from repro.systems.simulator import simulate
-from repro.trace.synthetic import build_workload
+from repro.experiments.runner import Runner
 
-MetricFn = Callable[[SimulationResult], float]
+MetricFn = Callable[[RunRecord], float]
 
 
-def seconds_metric(result: SimulationResult) -> float:
+def seconds_metric(record: RunRecord) -> float:
     """The default metric: simulated run time in seconds."""
-    return result.seconds
+    return record.seconds
 
 
 @dataclass(frozen=True)
@@ -95,11 +98,12 @@ def replicate(
     if events is not None:
         events.emit("replication_started", kind=params.kind, seeds=list(seeds))
     with ScopedTimer() as timer:
-        values = []
-        for seed in seeds:
-            programs = build_workload(config.scale, seed=seed)
-            values.append(metric(simulate(params, programs, slice_refs=config.slice_refs)))
-        summary = ReplicationResult.from_values(values)
+        summary = ReplicationResult.from_values(
+            [
+                metric(Runner(replace(config, seed=seed)).record(params.kind, params))
+                for seed in seeds
+            ]
+        )
     if events is not None:
         events.emit(
             "replication_completed",

@@ -11,18 +11,19 @@ reference sequences and lays out the OS's pinned footprint.
   region for the conventional machine).
 * :mod:`repro.ossim.handlers` -- reference sequences for the TLB-miss,
   page-fault and context-switch handlers.
-* :mod:`repro.ossim.scheduler` -- switching policy (scheduled slices,
-  context switch on miss).
+
+When switches happen is not an OS-model object: the policy is
+:class:`~repro.core.params.MachineParams`' ``switch_on_miss`` and
+``scheduled_switches``, and :mod:`repro.trace.interleave` rotates the
+programs.
 """
 
 from repro.ossim.footprint import OsLayout, conventional_layout, rampage_layout
 from repro.ossim.handlers import HandlerLibrary
-from repro.ossim.scheduler import SwitchPolicy
 
 __all__ = [
     "OsLayout",
     "conventional_layout",
     "rampage_layout",
     "HandlerLibrary",
-    "SwitchPolicy",
 ]

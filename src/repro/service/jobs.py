@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import threading
 import time
 from contextlib import contextmanager
@@ -62,7 +61,7 @@ except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
 from repro.core.errors import ConfigurationError
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, integral
 from repro.experiments.runner import GRID_BUILDERS, grid_plan
 from repro.trace.benchmarks import TABLE2_PROGRAMS
 
@@ -107,24 +106,6 @@ def _listed(value, name: str) -> list | tuple:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"{name} must be a list, got {type(value).__name__}")
     return value
-
-
-def integral(value, name: str) -> int:
-    """``value`` as an exact integer, else a ValueError naming the field.
-
-    Integers, integral finite floats (``1e9``) and strings spelling
-    either pass; booleans, fractions, infinities and NaN do not.
-    """
-    if isinstance(value, str):
-        try:
-            return int(value.strip())
-        except ValueError:
-            value = float(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _real(value, name: str) -> float:

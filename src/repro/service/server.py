@@ -58,7 +58,7 @@ from pathlib import Path
 from urllib.parse import parse_qs
 
 from repro.core.errors import ConfigurationError
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, integer_list, integral
 from repro.reports import (
     CONTENT_TYPES,
     DASHBOARD_HTML,
@@ -74,7 +74,6 @@ from repro.service.jobs import (
     JobSpec,
     JobStore,
     JobTooLargeError,
-    integral,
     plan_cells,
 )
 from repro.service.scheduler import BackpressureError, SweepScheduler
@@ -156,12 +155,9 @@ def _report_config(base: ExperimentConfig, query: dict[str, str]) -> ExperimentC
             overrides[name] = integral(query[name], name)
     for name in ("rates", "sizes"):
         if name in query:
-            values = tuple(
-                integral(token, name)
-                for token in query[name].split(",")
-                if token.strip()
+            overrides["issue_rates" if name == "rates" else "sizes"] = integer_list(
+                query[name], name
             )
-            overrides["issue_rates" if name == "rates" else "sizes"] = values
     return replace(base, **overrides) if overrides else base
 
 

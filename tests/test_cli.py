@@ -1,5 +1,7 @@
 """Tests for the rampage-sim command-line interface."""
 
+import json
+
 import pytest
 from helpers import tree_state
 
@@ -35,6 +37,37 @@ def test_run_unknown_experiment_fails(capsys):
 def test_run_writes_output_files(tmp_path, capsys):
     assert main(["run", "table1", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "table1.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["report", "baseline", "--sizes", "1024.5"], "--sizes"),
+        (["report", "baseline", "--rates", "1.5"], "--rates"),
+        (["submit", "--url", "http://127.0.0.1:9", "--rates", "2e8,1.5"], "--rates"),
+    ],
+)
+def test_non_integral_rates_and_sizes_are_usage_errors(
+    argv, flag, tmp_path, capsys, monkeypatch
+):
+    """A fractional size used to die with a traceback and a fractional
+    rate to build a 1 Hz grid; both are now exit 2 naming the flag."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert f"argument {flag}: each item must be an integer" in capsys.readouterr().err
+
+
+def test_report_rates_accept_scientific_notation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    argv = ["report", "baseline", "--rates", "2e8", "--sizes", "1.28e2,4096"]
+    assert main([*argv, "--format", "json"]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert [(c["issue_rate_hz"], c["size_bytes"]) for c in cells] == [
+        (200_000_000, 128),
+        (200_000_000, 4096),
+    ]
 
 
 def test_sweep_runs_small_simulation(capsys):

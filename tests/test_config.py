@@ -67,3 +67,22 @@ def test_rejects_empty_axes():
         ExperimentConfig(issue_rates=())
     with pytest.raises(ConfigurationError):
         ExperimentConfig(sizes=())
+
+
+@pytest.mark.parametrize(
+    "variable, value",
+    [("REPRO_RATES", "1.5"), ("REPRO_RATES", "2e8,abc"), ("REPRO_SIZES", "1024.5")],
+)
+def test_from_env_rejects_non_integral_lists(variable, value):
+    # A fractional rate used to truncate to a 1 Hz grid, and a
+    # fractional size died with a bare ValueError.
+    with pytest.raises(ConfigurationError, match=variable):
+        ExperimentConfig.from_env({variable: value})
+
+
+def test_from_env_lists_accept_scientific_notation():
+    config = ExperimentConfig.from_env(
+        {"REPRO_RATES": "2e8, 4e9", "REPRO_SIZES": "1.28e2,4096,"}
+    )
+    assert config.issue_rates == (200_000_000, 4_000_000_000)
+    assert config.sizes == (128, 4096)

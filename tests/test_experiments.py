@@ -1,16 +1,26 @@
 """End-to-end tests of the experiment modules at a tiny scale.
 
 A single module-scoped Runner (tiny workload, no disk cache) feeds every
-experiment; the assertions check the *structure* of each output and the
-qualitative shape claims that hold even at reduced scale.
+experiment.  The class tests check the *structure* of each output;
+:func:`test_paper_claim` checks every claim of the registry in
+:mod:`repro.experiments.claims`, and
+:func:`test_experiments_md_renders_every_claim_once` renders
+EXPERIMENTS.md over the same grids.
 """
+
+import importlib.util
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import ExperimentConfig, Runner
 from repro.experiments import figure4, figure5, table1, table2, table3, table4, table5
+from repro.experiments.claims import CLAIMS
 from repro.experiments.figures23 import run_figure2, run_figure3
 from repro.experiments.runner import GRID_BUILDERS, iter_cache_files
+
+GENERATOR = Path(__file__).resolve().parents[1] / "tools" / "generate_experiments_md.py"
 
 
 @pytest.fixture(scope="module")
@@ -75,20 +85,6 @@ class TestTable1:
         out = table1.run()
         assert out.name == "table1"
         assert "rambus" in out.text.lower()
-        assert out.data["rambus_cost_instructions_4k_1ghz"] == pytest.approx(2610)
-        assert out.data["disk_cost_instructions_4k_1ghz"] == pytest.approx(
-            10.1e6, rel=0.01
-        )
-
-
-class TestTable2:
-    def test_measured_fractions_close_to_paper(self, runner):
-        out = table2.run(runner)
-        for row in out.data["programs"]:
-            assert row["ifetch_fraction_measured"] == pytest.approx(
-                row["ifetch_fraction_paper"], abs=0.05
-            )
-        assert out.data["total_millions"] == pytest.approx(1093.1, abs=0.5)
 
 
 class TestTable3:
@@ -99,11 +95,6 @@ class TestTable3:
             assert entry["best_baseline_s"] > 0
             assert entry["best_rampage_s"] > 0
 
-    def test_rampage_advantage_grows_with_issue_rate(self, runner):
-        out = table3.run(runner)
-        by_rate = {e["issue_rate_hz"]: e["rampage_speedup"] for e in out.data["summary"]}
-        assert by_rate[4_000_000_000] > by_rate[200_000_000]
-
 
 class TestTable4:
     def test_structure(self, runner):
@@ -111,14 +102,6 @@ class TestTable4:
         assert len(out.data["summary"]) == 2
         for entry in out.data["summary"]:
             assert entry["best_som_s"] > 0
-
-    def test_switch_on_miss_helps_more_at_high_rate(self, runner):
-        out = table4.run(runner)
-        by_rate = {
-            e["issue_rate_hz"]: e["speedup_vs_no_switch"]
-            for e in out.data["summary"]
-        }
-        assert by_rate[4_000_000_000] > by_rate[200_000_000]
 
 
 class TestTable5:
@@ -135,23 +118,6 @@ class TestFigures:
             for row in out.data[panel]:
                 total = sum(row[k] for k in ("l1i", "l1d", "l2", "dram", "other"))
                 assert total == pytest.approx(1.0)
-
-    def test_figure3_dram_fraction_exceeds_figure2(self, runner):
-        """Scaling the CPU without the DRAM raises the DRAM share."""
-        f2 = run_figure2(runner)
-        f3 = run_figure3(runner)
-        for slow_row, fast_row in zip(f2.data["baseline"], f3.data["baseline"]):
-            assert fast_row["dram"] > slow_row["dram"]
-
-    def test_figure4_rampage_overhead_falls_with_page_size(self, runner):
-        out = figure4.run(runner)
-        rampage = [row["rampage"] for row in out.data["rows"]]
-        assert rampage[0] > rampage[-1]
-
-    def test_figure4_baseline_overhead_flat(self, runner):
-        out = figure4.run(runner)
-        baseline = [row["baseline"] for row in out.data["rows"]]
-        assert max(baseline) - min(baseline) < 0.01
 
     def test_figure5_structure(self, runner):
         out = figure5.run(runner)
@@ -171,66 +137,54 @@ class TestFigures:
         assert path.read_text("utf-8").startswith("Table 1")
 
 
-SLOW, FAST = 200_000_000, 4_000_000_000
+@pytest.mark.parametrize(
+    "claim",
+    [
+        pytest.param(
+            claim,
+            id=claim.id,
+            marks=pytest.mark.xfail(strict=True, reason=claim.note) if claim.note else (),
+        )
+        for claim in CLAIMS
+    ],
+)
+def test_paper_claim(runner, claim):
+    """Each registry claim on the fixture's grids (no extra simulation).
 
-
-class TestPaperClaims:
-    """The paper's orderings as assertions, on the fixture's grids.
-
-    Each test cites the paper's statement (quoted where the paper's
-    words are known) and names the EXPERIMENTS.md section that reports
-    the measured value.  They read only grids the other tests of
-    this module build, so they add no simulation.  A claim the reduced
-    scale distorts is a strict xfail naming the distortion, never a
-    loosened bound.
+    A claim the reduced scale is known to distort carries a note and
+    is a strict xfail, never a loosened bound.
     """
+    measured, holds = claim.check(runner)
+    assert holds, f"{claim.paper} ({claim.source}): measured {measured}"
 
-    def test_rampage_best_time_beats_baseline_best_at_4ghz(self, runner):
-        """Paper, Table 3: at 4 GHz the best RAMpage time is 26% faster
-        than the best baseline.  EXPERIMENTS.md "Table 3": +15.1%."""
-        summary = {e["issue_rate_hz"]: e for e in table3.run(runner).data["summary"]}
-        assert summary[FAST]["best_rampage_s"] < summary[FAST]["best_baseline_s"]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "cold misses weigh more at reduced scale, so the 200 MHz "
-            "crossover comes later than the paper's: RAMpage measures -0.5% "
-            "(EXPERIMENTS.md, Table 3)"
-        ),
-    )
-    def test_rampage_best_time_beats_baseline_best_at_200mhz(self, runner):
-        """Paper, Table 3: at 200 MHz the best RAMpage time is 6% faster
-        than the best baseline."""
-        summary = {e["issue_rate_hz"]: e for e in table3.run(runner).data["summary"]}
-        assert summary[SLOW]["best_rampage_s"] < summary[SLOW]["best_baseline_s"]
-
-    def test_rampage_dram_fraction_is_below_baseline_at_every_size(self, runner):
-        """Paper, Figures 2-3: "the RAMpage system is more tolerant of the
-        increased DRAM latency."  EXPERIMENTS.md "Figure 2" and "Figure 3":
-        RAMpage's DRAM fraction is smaller at every size, at both rates."""
-        for figure in (run_figure2, run_figure3):
-            data = figure(runner).data
-            for base_row, ramp_row in zip(data["baseline"], data["rampage"]):
-                assert base_row["size_bytes"] == ramp_row["size_bytes"]
-                assert ramp_row["dram"] < base_row["dram"]
-
-    def test_best_switching_page_is_at_least_the_best_no_switch_page(self, runner):
-        """Paper, Table 4: with context switches on misses, larger pages
-        become more viable.  EXPERIMENTS.md "Table 4": the best switching
-        page size is at least the best no-switch size."""
-        for entry in table4.run(runner).data["summary"]:
-            assert entry["best_som_size"] >= entry["best_plain_size"]
-
-    def test_rampage_worst_page_is_the_smallest(self, runner):
-        """Paper, Table 3: RAMpage suffers at small pages (TLB overhead);
-        Figure 5: RAMpage's bad region is small pages.  EXPERIMENTS.md
-        "Table 3" and "Figure 5": the worst column is the smallest page,
-        with and without switching."""
-        smallest = min(runner.config.sizes)
-        table = table3.run(runner).data
-        for seconds in table["rampage_seconds"].values():
-            assert table["sizes"][seconds.index(max(seconds))] == smallest
-        for rate_entry in figure5.run(runner).data["rates"]:
-            worst = max(rate_entry["rows"], key=lambda row: row["rampage_som"])
-            assert worst["size_bytes"] == smallest
+def test_experiments_md_renders_every_claim_once(runner):
+    """The EXPERIMENTS.md generator over the fixture's grids: each claim
+    is rendered once with the registry's verdict, and each fenced block
+    is its experiment's text."""
+    spec = importlib.util.spec_from_file_location("generate_experiments_md", GENERATOR)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    misses = runner.cache_stats.misses
+    text = generator.render(runner)
+    assert runner.cache_stats.misses == misses
+    for claim in CLAIMS:
+        assert text.count(claim.id) == 1, claim.id
+        row = next(line for line in text.splitlines() if f"`{claim.id}`" in line)
+        measured, holds = claim.check(runner)
+        cells = [cell.strip() for cell in row.strip("|").split("|")]
+        assert cells[3] == measured
+        assert cells[4].startswith("yes" if holds else "no")
+    outputs = [
+        table1.run(runner),
+        table2.run(runner),
+        table3.run(runner),
+        run_figure2(runner),
+        run_figure3(runner),
+        figure4.run(runner),
+        table4.run(runner),
+        table5.run(runner),
+        figure5.run(runner),
+    ]
+    fenced = re.findall(r"^```\n(.*?)\n```$", text, flags=re.S | re.M)
+    assert fenced == [output.text for output in outputs]

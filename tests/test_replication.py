@@ -58,7 +58,7 @@ class TestReplicate:
             baseline_machine(10**9, 1024),
             TINY,
             seeds=(0, 1),
-            metric=lambda r: float(r.stats.l2_misses),
+            metric=lambda r: float(r.stats["l2_misses"]),
         )
         assert all(v == int(v) for v in result.values)
 

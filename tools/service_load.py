@@ -1,32 +1,23 @@
 #!/usr/bin/env python
-"""Load-generation harness for the sweep-service daemon.
+"""Fabric smoke gate for the sweep-service daemon.
 
 Stands up a real in-process daemon (the same ``ServiceThread`` harness
-the HTTP tests use) and hammers it with hundreds of concurrent clients
-mixing the production op profile:
+the HTTP tests use) with two fabric worker processes, submits the 9-cell
+bench grid and, while the fabric executes, runs a concurrent burst of
+health and status polls.  The run fails on any burst-client error, any
+lease conflict in the journal, any unreleased lease, or any record
+byte-mismatch against a serial :class:`Runner` ground truth.
 
-* **warm re-submits** -- idempotent submissions of an already-completed
-  grid (the dominant op for a result service: same job key, instant
-  terminal response),
-* **record fetches** -- raw cache bytes through the sharded/fetch path,
-* **status + health polls**,
-* a small fraction of **cold sweeps** -- fresh seeds that must actually
-  simulate, exercising admission control (429s are counted, not errors).
+Usage:
+    PYTHONPATH=src python tools/service_load.py
 
-Default mode measures sustained throughput (ops/s, terminal-job
-responses/s) and latency percentiles, and prints them as JSON.
-
-``--smoke`` is the CI gate: a ``--fabric 2`` daemon serves the 9-cell
-bench grid under a concurrent client burst, and the run fails on any
-lease conflict in the journal or any record byte-mismatch against a
-serial :class:`Runner` ground truth.
+Service latency and throughput are measured by perfbench's
+``service_mix`` workload, not here.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import random
 import sys
 import tempfile
 import threading
@@ -36,7 +27,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench import SWEEP_LABELS, sweep_config  # noqa: E402
-from repro.experiments.config import ExperimentConfig  # noqa: E402
 from repro.experiments.runner import Runner, iter_cache_files  # noqa: E402
 from repro.service import (  # noqa: E402
     ServiceClient,
@@ -45,27 +35,6 @@ from repro.service import (  # noqa: E402
     SweepService,
 )
 from repro.service.jobs import JobStore  # noqa: E402
-
-
-def small_config(cache_dir: Path) -> ExperimentConfig:
-    """A 4-cell grid: small enough that the daemon, not the simulator,
-    is the bottleneck under load."""
-    return ExperimentConfig(
-        scale=0.0001,
-        slice_refs=4_000,
-        issue_rates=(10**9,),
-        sizes=(128, 1024),
-        seed=0,
-        cache_dir=cache_dir,
-    )
-
-
-def percentile(values: list[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def scan_lease_conflicts(state_dir: Path) -> list[dict]:
@@ -97,136 +66,13 @@ def scan_lease_conflicts(state_dir: Path) -> list[dict]:
     return conflicts
 
 
-# ----------------------------------------------------------------------
-# Load mode
-# ----------------------------------------------------------------------
-
-
-def run_load(args: argparse.Namespace) -> dict:
-    with tempfile.TemporaryDirectory(prefix="rampage-load-") as tmp:
-        root = Path(tmp)
-        config = small_config(root / "cache")
-        svc = SweepService(
-            config,
-            port=0,
-            workers=1,
-            queue_limit=args.queue_limit,
-            fabric=args.fabric,
-        )
-        thread = ServiceThread(svc)
-        url = thread.start()
-        try:
-            seeder = ServiceClient(url)
-            warm = seeder.submit({"labels": ["baseline", "rampage"]})
-            final = seeder.wait(warm["id"], timeout=600)
-            if final["status"] != "completed":
-                raise RuntimeError(f"warm job did not complete: {final}")
-            warm_id = warm["id"]
-            record_keys = [cell["key"] for cell in final["cells"]]
-
-            lock = threading.Lock()
-            latencies_ms: list[float] = []
-            counters = {
-                "ops": 0,
-                "terminal_jobs": 0,
-                "throttled_429": 0,
-                "errors": 0,
-                "cold_submits": 0,
-            }
-            stop_at = time.monotonic() + args.duration
-
-            def client_loop(index: int) -> None:
-                rng = random.Random(index)
-                client = ServiceClient(url, retries=0, timeout=30)
-                while time.monotonic() < stop_at:
-                    roll = rng.random()
-                    started = time.perf_counter()
-                    try:
-                        if roll < args.cold_fraction:
-                            job = client.submit(
-                                {
-                                    "labels": ["baseline"],
-                                    "seed": rng.randrange(1, 10**6),
-                                }
-                            )
-                            with lock:
-                                counters["cold_submits"] += 1
-                                if job["status"] in ("completed", "failed"):
-                                    counters["terminal_jobs"] += 1
-                        elif roll < args.cold_fraction + 0.45:
-                            job = client.submit(
-                                {"labels": ["baseline", "rampage"]}
-                            )
-                            with lock:
-                                if job["status"] in ("completed", "failed"):
-                                    counters["terminal_jobs"] += 1
-                        elif roll < args.cold_fraction + 0.75:
-                            client.fetch_record(rng.choice(record_keys))
-                        elif roll < args.cold_fraction + 0.90:
-                            client.job(warm_id)
-                        else:
-                            client.health()
-                    except ServiceError as exc:
-                        with lock:
-                            if exc.status == 429:
-                                counters["throttled_429"] += 1
-                            else:
-                                counters["errors"] += 1
-                        continue
-                    except Exception:
-                        with lock:
-                            counters["errors"] += 1
-                        continue
-                    elapsed_ms = (time.perf_counter() - started) * 1e3
-                    with lock:
-                        counters["ops"] += 1
-                        latencies_ms.append(elapsed_ms)
-
-            threads = [
-                threading.Thread(target=client_loop, args=(index,), daemon=True)
-                for index in range(args.clients)
-            ]
-            wall_start = time.monotonic()
-            for worker in threads:
-                worker.start()
-            for worker in threads:
-                worker.join(timeout=args.duration + 120)
-            wall = time.monotonic() - wall_start
-        finally:
-            thread.stop(timeout=120)
-
-    return {
-        "clients": args.clients,
-        "duration_s": round(wall, 2),
-        "fabric": args.fabric,
-        "queue_limit": args.queue_limit,
-        "ops": counters["ops"],
-        "ops_per_s": round(counters["ops"] / wall, 1),
-        "sustained_jobs_per_s": round(counters["terminal_jobs"] / wall, 1),
-        "terminal_jobs": counters["terminal_jobs"],
-        "cold_submits": counters["cold_submits"],
-        "throttled_429": counters["throttled_429"],
-        "errors": counters["errors"],
-        "p50_ms": round(percentile(latencies_ms, 0.50), 2),
-        "p99_ms": round(percentile(latencies_ms, 0.99), 2),
-        "max_ms": round(max(latencies_ms), 2) if latencies_ms else 0.0,
-    }
-
-
-# ----------------------------------------------------------------------
-# Smoke mode (CI gate)
-# ----------------------------------------------------------------------
-
-
-def run_smoke(args: argparse.Namespace) -> int:
+def main() -> int:
     failures: list[str] = []
     with tempfile.TemporaryDirectory(prefix="rampage-smoke-") as tmp:
         root = Path(tmp)
         config = sweep_config(root / "cache")
         state_dir = root / "cache" / "service"
-        svc = SweepService(
-            config, port=0, queue_limit=8, fabric=max(2, args.fabric)
-        )
+        svc = SweepService(config, port=0, queue_limit=8, fabric=2)
         thread = ServiceThread(svc)
         url = thread.start()
         try:
@@ -318,41 +164,6 @@ def run_smoke(args: argparse.Namespace) -> int:
         "smoke ok: 9/9 bench cells via 2-worker fabric, "
         "0 lease conflicts, 0 record mismatches"
     )
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI gate: fabric daemon, bench grid, byte/lease checks",
-    )
-    parser.add_argument(
-        "--clients", type=int, default=100, help="concurrent client threads"
-    )
-    parser.add_argument(
-        "--duration", type=float, default=10.0, help="load phase seconds"
-    )
-    parser.add_argument(
-        "--cold-fraction",
-        type=float,
-        default=0.02,
-        help="fraction of ops that submit a fresh (cold) sweep",
-    )
-    parser.add_argument(
-        "--fabric",
-        type=int,
-        default=0,
-        help="fabric worker processes (0: in-daemon execution)",
-    )
-    parser.add_argument(
-        "--queue-limit", type=int, default=8, help="admission queue bound"
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        return run_smoke(args)
-    print(json.dumps(run_load(args), indent=2))
     return 0
 
 
