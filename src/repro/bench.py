@@ -21,8 +21,8 @@ three Rambus timings) with the scalar ``_replay_timeline`` oracle and
 with the vectorized :class:`~repro.trace.replay_kernel.ReplayKernel`.
 Every cell's two outputs must be equal.
 
-The ``SWEEP_*`` constants define the bench grid, which the fabric
-tests and the service tools also drive (:func:`sweep_config`).
+The ``SWEEP_*`` constants define the bench grid, which the service
+smoke test also drives (:func:`sweep_config`).
 
 Usage:
     rampage-sim bench --check

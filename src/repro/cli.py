@@ -245,12 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--state-dir",
         help="job-journal directory (default: <cache_dir>/service)",
     )
-    serve_cmd.add_argument(
-        "--fabric",
-        type=int,
-        default=0,
-        help="lease-based worker processes per job (0: in-daemon execution)",
-    )
 
     def add_url(cmd):
         cmd.add_argument(
@@ -558,7 +552,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             queue_limit=args.queue_limit,
             state_dir=args.state_dir,
-            fabric=args.fabric,
             ready=announce,
         )
     except ConfigurationError as exc:

@@ -17,7 +17,7 @@ Environment overrides (picked up by :meth:`ExperimentConfig.from_env`):
 variable           meaning
 =================  =============================================
 REPRO_SCALE        workload scale factor (float)
-REPRO_SLICE_REFS   scheduling quantum in references (int)
+REPRO_SLICE_REFS   scheduling quantum in references (int, ``2e4`` ok)
 REPRO_RATES        comma-separated issue rates in Hz
 REPRO_SIZES        comma-separated block/page sizes in bytes
 REPRO_SEED         workload + replacement seed (int)
@@ -60,6 +60,20 @@ def integral(value, name: str) -> int:
     if isinstance(value, float) and math.isfinite(value) and value.is_integer():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def real(value, name: str) -> float:
+    """``value`` as a float, else a ValueError naming the field.
+
+    Numbers and strings spelling one pass; a boolean is not a number
+    here.
+    """
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def integer_list(text: str, name: str) -> tuple[int, ...]:
@@ -129,18 +143,19 @@ class ExperimentConfig:
         """Build from defaults plus ``REPRO_*`` environment overrides."""
         env = dict(os.environ) if env is None else env
         kwargs: dict[str, object] = {}
-        if "REPRO_SCALE" in env:
-            kwargs["scale"] = float(env["REPRO_SCALE"])
-        if "REPRO_SLICE_REFS" in env:
-            kwargs["slice_refs"] = int(env["REPRO_SLICE_REFS"])
-        for variable, field in (("REPRO_RATES", "issue_rates"), ("REPRO_SIZES", "sizes")):
+        parsers = (
+            ("REPRO_SCALE", "scale", real),
+            ("REPRO_SLICE_REFS", "slice_refs", integral),
+            ("REPRO_RATES", "issue_rates", integer_list),
+            ("REPRO_SIZES", "sizes", integer_list),
+            ("REPRO_SEED", "seed", integral),
+        )
+        for variable, field, parse in parsers:
             if variable in env:
                 try:
-                    kwargs[field] = integer_list(env[variable], variable)
+                    kwargs[field] = parse(env[variable], variable)
                 except ValueError as exc:
                     raise ConfigurationError(str(exc)) from exc
-        if "REPRO_SEED" in env:
-            kwargs["seed"] = int(env["REPRO_SEED"])
         if "REPRO_CACHE_DIR" in env:
             raw = env["REPRO_CACHE_DIR"]
             kwargs["cache_dir"] = Path(raw) if raw else None

@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from repro.analysis.runtime import RunRecord
+from repro.core.observe import EventLog
 from repro.core.params import MachineParams
 from repro.core.timer import ScopedTimer, refs_per_second
 from repro.experiments.config import ExperimentConfig
@@ -72,12 +73,10 @@ class CellSpec:
     params: MachineParams
     #: The cell's run-record cache key.
     key: str
-    scale: float
-    slice_refs: int
-    seed: int
-    #: Cache directory holding the trace artifact and receiving a
-    #: recorded plane (``None`` when caching is off).
-    cache_dir: str | None = None
+    #: The runner's configuration: the workload knobs, the cache
+    #: directory holding the trace artifact and receiving a recorded
+    #: plane (``None`` when caching is off), and the event log.
+    config: ExperimentConfig
     #: Miss-plane key to record while simulating (group representative).
     plane_key: str | None = None
 
@@ -92,13 +91,17 @@ def _simulate_cell(spec: CellSpec) -> dict:
     many cells attaches the trace artifact once.  A spec carrying a
     ``plane_key`` is its plane group's representative: the run records
     the group's miss plane and commits the artifact so the parent (and
-    sibling cells) can replay instead of simulate.
+    sibling cells) can replay instead of simulate.  The worker appends
+    its trace and plane events to the configured event log.
     """
+    config = spec.config
+    events = EventLog(config.event_log)
     programs = get_workload(
-        spec.scale,
-        spec.seed,
-        cache_dir=spec.cache_dir,
-        slice_refs=spec.slice_refs,
+        config.scale,
+        config.seed,
+        cache_dir=config.cache_dir,
+        events=events,
+        slice_refs=config.slice_refs,
     ).programs
     recorder = None
     if spec.plane_key is not None:
@@ -106,11 +109,11 @@ def _simulate_cell(spec: CellSpec) -> dict:
     result = simulate(
         spec.params,
         programs,
-        slice_refs=spec.slice_refs,
+        slice_refs=config.slice_refs,
         record_plane=recorder,
     )
     if recorder is not None:
-        commit_plane(recorder.finalize(), cache_dir=spec.cache_dir)
+        commit_plane(recorder.finalize(), cache_dir=config.cache_dir, events=events)
     record = RunRecord.from_result(
         spec.label, spec.params.transfer_unit_bytes, result
     )
@@ -167,22 +170,10 @@ class ParallelRunner(Runner):
     # Pending-cell enumeration
     # ------------------------------------------------------------------
 
-    def _cell_spec(self, label: str, params: MachineParams, key: str) -> CellSpec:
-        config = self.config
-        return CellSpec(
-            label=label,
-            params=params,
-            key=key,
-            scale=config.scale,
-            slice_refs=config.slice_refs,
-            seed=config.seed,
-            cache_dir=str(config.cache_dir) if config.cache_dir is not None else None,
-        )
-
     def pending_cells(self, labels: Sequence[str]) -> list[CellSpec]:
         """Grid cells of ``labels`` not yet in either cache layer."""
         return [
-            self._cell_spec(label, params, key)
+            CellSpec(label=label, params=params, key=key, config=self.config)
             for label, params, key in self._pending_grid_cells(list(labels))
         ]
 

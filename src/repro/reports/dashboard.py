@@ -8,8 +8,8 @@ against the daemon's existing JSON/SSE routes:
 * ``/healthz`` and ``/v1/jobs`` are polled for liveness and the job
   table,
 * selecting a job subscribes to ``/v1/jobs/<id>/events`` for live
-  progress (cells done, the full/recorded/replayed/cached mode mix,
-  fabric lease activity),
+  progress (cells done and the full/recorded/replayed/cached mode
+  mix),
 * ``/v1/bench`` fills the cache card,
 * ``/v1/reports`` links every report in every format.
 """
@@ -72,7 +72,6 @@ DASHBOARD_HTML = """<!doctype html>
     <div id="job-title" class="muted">click a job to follow it live</div>
     <div class="bar"><div id="progress"></div></div>
     <div class="modes" id="modes"></div>
-    <div class="muted" id="leases"></div>
     <div id="log"></div>
   </div>
   <div class="card">
@@ -142,11 +141,6 @@ function showProgress(job) {
     span.textContent = mode + ": " + count;
     modes.appendChild(span);
   });
-  const leases = Object.entries(job.leases || {});
-  $("leases").textContent = leases.length
-    ? "leases: " + leases.map(([group, info]) =>
-        group + "@" + info.worker).join(", ")
-    : "";
 }
 
 function logLine(text) {

@@ -5,11 +5,8 @@ The serving layer over the experiment engine (see ``docs/service.md``):
 * :mod:`repro.service.jobs` -- journalled job store with idempotent
   keys and crash recovery.
 * :mod:`repro.service.scheduler` -- dedups submitted cells against the
-  cache and in-flight work, coalesces plane groups, dispatches to the
-  parallel runner, fans progress out to subscribers.
-* :mod:`repro.service.fabric` -- lease-based multi-process workers
-  draining work groups from the shared journal
-  (``rampage-sim serve --fabric N``).
+  cache and in-flight work, runs each job through the parallel
+  runner's process pool, fans progress out to subscribers.
 * :mod:`repro.service.server` -- the stdlib asyncio HTTP daemon
   (``rampage-sim serve``).
 * :mod:`repro.service.client` -- typed client with jittered-backoff
@@ -17,7 +14,6 @@ The serving layer over the experiment engine (see ``docs/service.md``):
 """
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.fabric import WorkGroup, plan_groups, run_worker
 from repro.service.jobs import Job, JobSpec, JobStore, job_key, plan_cells
 from repro.service.scheduler import BackpressureError, SweepScheduler
 from repro.service.server import ServiceThread, SweepService, serve
@@ -32,10 +28,7 @@ __all__ = [
     "ServiceThread",
     "SweepService",
     "SweepScheduler",
-    "WorkGroup",
     "job_key",
     "plan_cells",
-    "plan_groups",
-    "run_worker",
     "serve",
 ]

@@ -22,27 +22,11 @@ was accepted, never simulation state.  A torn trailing line (``kill
 -9`` mid-append) is skipped, the same policy as
 :func:`repro.core.observe.read_events`.
 
-**Multi-worker leases (``rampage-job/2``).**  The journal doubles as
-the work ledger for the scale-out fabric
-(:mod:`repro.service.fabric`): worker processes *lease* whole work
-groups (one miss-plane group, or one ungrouped cell) before executing
-them::
-
-    {"op": "lease",   "id": ..., "group": ..., "worker": ..., "expires_ts": ...}
-    {"op": "release", "id": ..., "group": ..., "worker": ...}
-
-A lease carries an expiry; a worker that dies mid-group (``kill -9``)
-simply stops renewing and any other worker reclaims the group once the
-expiry passes -- the run-record cache's atomic commits make the retry
-byte-identical.  Claims are arbitrated with an ``flock`` on a sibling
-lock file, so two processes can never append conflicting leases for
-one group.  v1 journals (no lease ops) replay unchanged: recovery
-ignores ops it has already applied and drops leases that have expired.
-
-Because several processes append to one journal, every store keeps a
-byte offset and :meth:`JobStore.tail` replays lines appended by *other*
-processes (and idempotently re-applies its own), so in-memory state
-always converges to a pure in-order replay of the file.
+One process writes the journal: the daemon's threads share one
+:class:`JobStore`, and its lock orders their appends.  Older
+``rampage-job/2`` journals may also hold ``lease``/``release`` lines
+from the retired multi-process worker fabric; replay ignores them, as
+it ignores any op it does not know.
 """
 
 from __future__ import annotations
@@ -51,31 +35,20 @@ import hashlib
 import json
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-try:  # pragma: no cover - Unix-only; the fabric degrades without it
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None  # type: ignore[assignment]
-
 from repro.core.errors import ConfigurationError
-from repro.experiments.config import ExperimentConfig, integral
+from repro.experiments.config import ExperimentConfig, integral, real
 from repro.experiments.runner import GRID_BUILDERS, grid_plan
 from repro.trace.benchmarks import TABLE2_PROGRAMS
 
 #: Journal schema tag, embedded in every line for forward compatibility.
-#: v2 adds the ``lease``/``release`` ops; v1 journals replay unchanged.
+#: v1 and v2 journals replay alike; v2's ``lease``/``release`` lines are
+#: ignored.
 JOURNAL_SCHEMA = "rampage-job/2"
 
 JOURNAL_NAME = "journal.jsonl"
-
-#: Sibling lock file arbitrating cross-process journal appends/claims.
-JOURNAL_LOCK_NAME = "journal.lock"
-
-#: Default seconds a work-group lease stays exclusive without renewal.
-DEFAULT_LEASE_TTL_S = 60.0
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -106,13 +79,6 @@ def _listed(value, name: str) -> list | tuple:
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"{name} must be a list, got {type(value).__name__}")
     return value
-
-
-def _real(value, name: str) -> float:
-    """``value`` as a float; a boolean is not a number here."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -161,7 +127,7 @@ class JobSpec:
             ]
             return cls(
                 labels=tuple(labels),
-                scale=_real(payload.get("scale", base.scale), "scale"),
+                scale=real(payload.get("scale", base.scale), "scale"),
                 slice_refs=integral(
                     payload.get("slice_refs", base.slice_refs), "slice_refs"
                 ),
@@ -293,8 +259,6 @@ class Job:
     done: int = 0
     modes: dict[str, int] = field(default_factory=dict)
     done_keys: set[str] = field(default_factory=set)
-    #: Active work-group leases: group id -> {worker, expires_ts}.
-    leases: dict[str, dict] = field(default_factory=dict)
     error: str | None = None
     submitted_ts: float = 0.0
     updated_ts: float = 0.0
@@ -316,7 +280,6 @@ class Job:
             "total": self.total,
             "done": self.done,
             "modes": dict(self.modes),
-            "leases": {group: dict(info) for group, info in self.leases.items()},
             "error": self.error,
             "submitted_ts": self.submitted_ts,
             "updated_ts": self.updated_ts,
@@ -330,87 +293,30 @@ class JobStore:
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.path = self.state_dir / JOURNAL_NAME
-        self.lock_path = self.state_dir / JOURNAL_LOCK_NAME
         self._clock = clock
         self._lock = threading.RLock()
-        self._flock_handle = None
-        self._flock_depth = 0
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []
-        #: Journal bytes already replayed into memory; :meth:`tail`
-        #: applies everything beyond it (other processes' appends).
-        self._offset = 0
-        #: Foreign entries applied by a mutator's catch-up, owed to the
-        #: next :meth:`tail` call.
-        self._pending_tail: list[dict] = []
 
     # ------------------------------------------------------------------
     # Journal plumbing
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def _journal_lock(self):
-        """Cross-process mutual exclusion over journal appends/claims.
-
-        An ``flock`` on a sibling lock file (reentrant within the
-        store, which already holds its thread lock).  Without ``fcntl``
-        (non-Unix) this degrades to the thread lock alone -- correct
-        for the single-process daemon, unsupported for multi-process
-        fabrics.
-        """
-        if fcntl is None:
-            yield
-            return
-        if self._flock_depth == 0:
-            self._flock_handle = open(self.lock_path, "a+b")
-            fcntl.flock(self._flock_handle.fileno(), fcntl.LOCK_EX)
-        self._flock_depth += 1
-        try:
-            yield
-        finally:
-            self._flock_depth -= 1
-            if self._flock_depth == 0 and self._flock_handle is not None:
-                fcntl.flock(self._flock_handle.fileno(), fcntl.LOCK_UN)
-                self._flock_handle.close()
-                self._flock_handle = None
-
-    def _journal(self, entry: dict) -> dict:
+    def _journal(self, entry: dict) -> None:
         """Append one journal line and apply it; callers hold the lock.
 
         The line is flushed before the method returns, so a submission
         is durable before the server acknowledges it (the *commit
         before ack* the crash-recovery contract needs).  The in-memory
         effect goes through :meth:`_apply` -- the same code recovery
-        and :meth:`tail` run -- so live state can never diverge from an
-        in-order replay of the journal.
+        runs -- so live state can never diverge from an in-order replay
+        of the journal.
         """
         entry = {"schema": JOURNAL_SCHEMA, "ts": round(self._clock(), 6), **entry}
-        blob = (json.dumps(entry) + "\n").encode("utf-8")
-        with self._journal_lock():
-            self._catch_up()
-            with open(self.path, "ab") as handle:
-                start = handle.tell()
-                if start > self._offset:
-                    # A crashed writer left a torn fragment; seal it so
-                    # our line starts fresh (replay skips the bad line).
-                    handle.write(b"\n")
-                    start += 1
-                handle.write(blob)
-                handle.flush()
-            # Step the offset over our own line: tail() reports only
-            # entries this store has not already applied.
-            self._offset = start + len(blob)
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(entry) + "\n")
+            handle.flush()
         self._apply(entry)
-        return entry
-
-    def _catch_up(self) -> None:
-        """Fold other processes' appends in before acting on state.
-
-        Entries applied here are remembered so the next :meth:`tail`
-        still reports them -- a mutator catching up must not swallow
-        events the daemon's broadcast loop is waiting for.
-        """
-        self._pending_tail.extend(self._replay_from_offset())
 
     def _apply(self, entry: dict) -> None:
         """Replay one journal line into the in-memory registry."""
@@ -432,8 +338,8 @@ class JobStore:
             self._jobs[job.id] = job
             return
         job = self._jobs.get(entry.get("id", ""))
-        if job is None:
-            return
+        if job is None or op not in ("start", "cell", "done", "fail"):
+            return  # unknown job, or an op this store does not write
         job.updated_ts = entry.get("ts", job.updated_ts)
         if op == "start":
             job.status = RUNNING
@@ -444,60 +350,12 @@ class JobStore:
                 job.done += 1
                 mode = entry.get("mode", "full")
                 job.modes[mode] = job.modes.get(mode, 0) + 1
-        elif op == "lease":
-            group = entry.get("group")
-            if group:
-                job.leases[str(group)] = {
-                    "worker": str(entry.get("worker", "")),
-                    "expires_ts": float(entry.get("expires_ts", 0.0)),
-                }
-        elif op == "release":
-            group = entry.get("group")
-            if group is not None:
-                held = job.leases.get(str(group))
-                if held is not None and held["worker"] == str(
-                    entry.get("worker", "")
-                ):
-                    job.leases.pop(str(group), None)
         elif op == "done":
             job.status = COMPLETED
             job.error = None
-            job.leases.clear()
-        elif op == "fail":
+        else:
             job.status = FAILED
             job.error = entry.get("error")
-            job.leases.clear()
-
-    def _replay_from_offset(self) -> list[dict]:
-        """Apply journal lines beyond ``self._offset``; callers hold the lock.
-
-        Only complete (newline-terminated) lines advance the offset, so
-        a line another process is mid-append never splits.  Returns the
-        entries applied, in file order.
-        """
-        applied: list[dict] = []
-        if not self.path.exists():
-            return applied
-        with open(self.path, "rb") as handle:
-            handle.seek(self._offset)
-            blob = handle.read()
-        end = blob.rfind(b"\n")
-        if end < 0:
-            return applied
-        chunk = blob[: end + 1]
-        self._offset += len(chunk)
-        for line in chunk.decode("utf-8", "replace").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn or foreign line must not poison replay
-            if isinstance(entry, dict):
-                self._apply(entry)
-                applied.append(entry)
-        return applied
 
     def recover(self) -> list[Job]:
         """Replay the journal; returns jobs that need to resume.
@@ -507,23 +365,25 @@ class JobStore:
         scheduler re-executes them, so nothing is simulated twice.
         Resubmitted-after-failure jobs replay to exactly one queued job
         (the later ``submit`` op supersedes the failed incarnation; the
-        job id appears in the queue once).  Leases left by crashed
-        workers are dropped once expired, making their groups
-        claimable again.
+        job id appears in the queue once).
         """
         with self._lock:
-            with self._journal_lock():
-                self._repair_torn_tail()
-                self._replay_from_offset()
-            now = self._clock()
+            self._repair_torn_tail()
+            if self.path.exists():
+                text = self.path.read_bytes().decode("utf-8", "replace")
+                for line in text.splitlines():
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        entry = json.loads(line)
+                    except json.JSONDecodeError:
+                        continue  # torn or foreign line must not poison replay
+                    if isinstance(entry, dict):
+                        self._apply(entry)
             resumable = []
             for job_id in self._order:
                 job = self._jobs[job_id]
-                job.leases = {
-                    group: info
-                    for group, info in job.leases.items()
-                    if info["expires_ts"] > now
-                }
                 if job.status in ACTIVE_STATES:
                     job.status = QUEUED
                     resumable.append(job)
@@ -532,7 +392,7 @@ class JobStore:
     def _repair_torn_tail(self) -> None:
         """Newline-terminate a torn final line (``kill -9`` mid-append).
 
-        Without the repair a later append would concatenate onto the
+        Without the repair the next append would concatenate onto the
         torn fragment and corrupt *two* entries; with it the fragment
         becomes one complete unparseable line that replay skips.
         """
@@ -549,20 +409,6 @@ class JobStore:
             with open(self.path, "ab") as handle:
                 handle.write(b"\n")
                 handle.flush()
-
-    def tail(self) -> list[dict]:
-        """Apply journal lines appended since the last replay.
-
-        The cross-process visibility primitive: fabric workers and the
-        daemon share one journal, and each process calls ``tail()`` to
-        fold the others' appends into its in-memory registry.  Its own
-        lines are re-applied harmlessly (every op is idempotent under
-        in-order replay).  Returns the newly applied entries.
-        """
-        with self._lock:
-            pending = self._pending_tail
-            self._pending_tail = []
-            return pending + self._replay_from_offset()
 
     # ------------------------------------------------------------------
     # Job lifecycle
@@ -603,19 +449,12 @@ class JobStore:
             self._journal({"op": "start", "id": job_id})
             return self._jobs[job_id]
 
-    def record_cell(self, job_id: str, key: str, mode: str, **extra) -> Job:
-        """Journal one completed cell; de-duplicates by cell key.
-
-        ``extra`` fields (label, wall_s, ...) ride along on the journal
-        line so tailing processes can reconstruct progress events.
-        """
+    def record_cell(self, job_id: str, key: str, mode: str) -> Job:
+        """Journal one completed cell; de-duplicates by cell key."""
         with self._lock:
             job = self._jobs[job_id]
             if key not in job.done_keys:
-                self._journal(
-                    {"op": "cell", "id": job_id, "key": key, "mode": mode,
-                     **extra}
-                )
+                self._journal({"op": "cell", "id": job_id, "key": key, "mode": mode})
             return job
 
     def mark_completed(self, job_id: str) -> Job:
@@ -627,67 +466,6 @@ class JobStore:
         with self._lock:
             self._journal({"op": "fail", "id": job_id, "error": error})
             return self._jobs[job_id]
-
-    # ------------------------------------------------------------------
-    # Work-group leases (the multi-worker fabric's claim protocol)
-    # ------------------------------------------------------------------
-
-    def claim_group(
-        self,
-        job_id: str,
-        group: str,
-        worker: str,
-        *,
-        ttl: float = DEFAULT_LEASE_TTL_S,
-    ) -> bool:
-        """Try to lease one work group for ``worker``; True on success.
-
-        The decision happens under the cross-process ``flock`` *after*
-        tailing the journal, so the check sees every lease any other
-        process has already committed.  A group is claimable when it
-        has no lease, its lease expired, or ``worker`` already holds it
-        (renewal).
-        """
-        with self._lock:
-            with self._journal_lock():
-                self._catch_up()
-                job = self._jobs.get(job_id)
-                if job is None or job.terminal:
-                    return False
-                held = job.leases.get(group)
-                now = self._clock()
-                if (
-                    held is not None
-                    and held["worker"] != worker
-                    and held["expires_ts"] > now
-                ):
-                    return False
-                self._journal(
-                    {
-                        "op": "lease",
-                        "id": job_id,
-                        "group": group,
-                        "worker": worker,
-                        "expires_ts": round(now + ttl, 6),
-                    }
-                )
-                return True
-
-    def release_group(self, job_id: str, group: str, worker: str) -> None:
-        """Release ``worker``'s lease on a group (no-op if not held)."""
-        with self._lock:
-            with self._journal_lock():
-                self._catch_up()
-                job = self._jobs.get(job_id)
-                if job is None:
-                    return
-                held = job.leases.get(group)
-                if held is None or held["worker"] != worker:
-                    return
-                self._journal(
-                    {"op": "release", "id": job_id, "group": group,
-                     "worker": worker}
-                )
 
     # ------------------------------------------------------------------
     # Queries

@@ -27,23 +27,18 @@ against the limit -- idempotent resubmission must stay cheap.
 
 from __future__ import annotations
 
-import os
 import queue
-import subprocess
-import sys
 import threading
 import time
 from collections import deque
 from pathlib import Path
 
-import repro
 from repro.core.errors import ReproError
 from repro.core.observe import EventLog
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import find_record
 from repro.service.jobs import (
-    DEFAULT_LEASE_TTL_S,
     FAILED,
     Job,
     JobSpec,
@@ -87,17 +82,12 @@ class SweepScheduler:
         workers: int | None = None,
         queue_limit: int = 8,
         retry_after: float = 1.0,
-        fabric: int = 0,
-        lease_ttl: float = DEFAULT_LEASE_TTL_S,
     ) -> None:
         self.store = store
         self.config = config
         self.workers = workers
         self.queue_limit = max(0, int(queue_limit))
         self.retry_after = retry_after
-        #: >0 switches execution to N leased worker *processes* per job.
-        self.fabric = max(0, int(fabric))
-        self.lease_ttl = lease_ttl
         self._queue: deque[str] = deque()
         self._cond = threading.Condition()
         self._stop = False
@@ -280,9 +270,6 @@ class SweepScheduler:
         )
 
     def _execute(self, job: Job) -> None:
-        if self.fabric > 0:
-            self._execute_fabric(job)
-            return
         self.store.mark_running(job.id)
         self._broadcast(
             job.id, {"event": "job_running", "job": job.id, "total": job.total}
@@ -338,123 +325,6 @@ class SweepScheduler:
             events.unsubscribe(on_runner_event)
             with self._cond:
                 self._inflight = set()
-
-    def _execute_fabric(self, job: Job) -> None:
-        """Run one job on ``self.fabric`` leased worker processes.
-
-        The daemon stops simulating: it spawns workers targeting this
-        job, then tails the shared journal, bridging the workers' cell
-        ops to SSE.  Terminal transitions are journalled by the workers
-        (whoever drains the last cell marks the job done); the daemon
-        broadcasts the terminal event exactly once, after the loop
-        observes it.
-        """
-        self._broadcast(
-            job.id, {"event": "job_running", "job": job.id, "total": job.total}
-        )
-        cells = plan_cells(job.spec, self.config)
-        with self._cond:
-            self._inflight = {cell.key for cell in cells}
-        src_root = Path(repro.__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src_root)]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        # An explicit -c entry rather than `-m repro.service.fabric`:
-        # the package __init__ already imports the fabric module, and
-        # runpy warns about re-executing an imported module.
-        command = [
-            sys.executable,
-            "-c",
-            "from repro.service.fabric import main; raise SystemExit(main())",
-            "--state-dir",
-            str(self.store.state_dir),
-            "--cache-dir",
-            str(self.config.cache_dir),
-            "--job",
-            job.id,
-            "--ttl",
-            str(self.lease_ttl),
-        ]
-        procs = [
-            subprocess.Popen(
-                command + ["--worker-id", f"daemon-{index}"],
-                env=env,
-                stdout=subprocess.DEVNULL,
-            )
-            for index in range(self.fabric)
-        ]
-        done_seen = job.done
-        try:
-            while True:
-                for entry in self.store.tail():
-                    if entry.get("id") != job.id or entry.get("op") != "cell":
-                        continue
-                    done_seen += 1
-                    self._broadcast(
-                        job.id,
-                        {
-                            "event": "cell_completed",
-                            "job": job.id,
-                            "key": entry.get("key"),
-                            "mode": entry.get("mode", "full"),
-                            "done": done_seen,
-                            "total": job.total,
-                            "label": entry.get("label"),
-                            "wall_s": entry.get("wall_s"),
-                        },
-                    )
-                current = self.store.get(job.id)
-                if current is not None and current.terminal:
-                    break
-                with self._cond:
-                    stopping = self._stop
-                if stopping:
-                    # Drain: the job stays journalled active and the
-                    # next start() re-queues it; no terminal broadcast.
-                    return
-                if all(proc.poll() is not None for proc in procs):
-                    self.store.tail()
-                    current = self.store.get(job.id)
-                    if current is None or not current.terminal:
-                        self.store.mark_failed(
-                            job.id,
-                            "fabric workers exited before the job completed",
-                        )
-                    break
-                time.sleep(0.05)
-        finally:
-            for proc in procs:
-                if proc.poll() is None:
-                    proc.terminate()
-            for proc in procs:
-                try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-            with self._cond:
-                self._inflight = set()
-        final = self.store.get(job.id)
-        if final is None or not final.terminal:
-            return
-        if final.status == FAILED:
-            self._broadcast(
-                job.id,
-                {"event": "job_failed", "job": job.id, "error": final.error},
-            )
-        else:
-            self._broadcast(
-                job.id,
-                {
-                    "event": "job_completed",
-                    "job": job.id,
-                    "done": final.done,
-                    "total": final.total,
-                    "modes": dict(final.modes),
-                },
-            )
 
     def record_path(self, key: str) -> Path | None:
         """The on-disk cache file serving ``key``, if caching is on.

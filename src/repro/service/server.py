@@ -188,7 +188,6 @@ class SweepService:
         workers: int | None = None,
         queue_limit: int = 8,
         state_dir: str | Path | None = None,
-        fabric: int = 0,
     ) -> None:
         self.config = config if config is not None else ExperimentConfig.from_env()
         if self.config.cache_dir is None:
@@ -209,7 +208,6 @@ class SweepService:
             self.config,
             workers=workers,
             queue_limit=queue_limit,
-            fabric=fabric,
         )
         self._server: asyncio.base_events.Server | None = None
         self._closing = False
@@ -732,7 +730,6 @@ def serve(
     workers: int | None = None,
     queue_limit: int = 8,
     state_dir: str | Path | None = None,
-    fabric: int = 0,
     ready=None,
 ) -> None:
     """Blocking entry point used by ``rampage-sim serve``."""
@@ -743,7 +740,6 @@ def serve(
         workers=workers,
         queue_limit=queue_limit,
         state_dir=state_dir,
-        fabric=fabric,
     )
     try:
         asyncio.run(service.run(ready=ready))

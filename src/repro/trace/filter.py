@@ -543,13 +543,12 @@ class PlaneRegistry:
     Every hit skips a full artifact re-load -- manifest parse, per-array
     SHA-256, shape validation -- plus the plane's replay kernel (its
     window structure), which is what makes repeated group replays by
-    fabric workers and :meth:`~repro.experiments.runner.Runner.prefetch`
-    cheap.  Eviction
-    is least-recently-used and budgeted by array bytes rather than
-    plane count, so one huge plane cannot silently pin seven others'
-    worth of memory and many small planes are not evicted needlessly.
-    ``hits``/``misses``/``evictions`` feed the runner manifest and the
-    fabric worker stats.
+    :meth:`~repro.experiments.runner.Runner.prefetch` and the daemon's
+    jobs cheap.  Eviction is least-recently-used and budgeted by array
+    bytes rather than plane count, so one huge plane cannot silently
+    pin seven others' worth of memory and many small planes are not
+    evicted needlessly.  ``hits``/``misses``/``evictions`` feed the
+    runner manifest.
     """
 
     def __init__(self, max_bytes: int = 256 * 1024 * 1024) -> None:

@@ -43,8 +43,8 @@ attached: ``cache verify`` reports it stale.
 
 Sharing is process-local and not thread-safe: one in-process registry
 (:func:`get_workload`) hands the same :class:`MaterializedWorkload` to
-every runner and grid cell.  Every process -- serial runners, pool
-workers and fabric workers alike -- resolves its trace through
+every runner and grid cell.  Every process -- serial runners and pool
+workers alike -- resolves its trace through
 :func:`get_workload` over the same cache directory, so a worker
 attaches the committed artifact by mmap instead of re-running
 synthesis.

@@ -21,6 +21,7 @@ from repro.core import observe
 from repro.core.errors import CacheIntegrityError
 from repro.experiments import runner as runner_mod
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import (
     CACHE_SCHEMA,
     DECODE_MEMO_RECORDS,
@@ -33,8 +34,6 @@ from repro.experiments.runner import (
     iter_quarantined_files,
     record_checksum,
 )
-from repro.service.fabric import run_worker
-from repro.service.jobs import JobSpec, JobStore, plan_cells
 from repro.systems.factory import baseline_machine
 from repro.trace import filter as missplane
 from repro.trace import materialize
@@ -412,11 +411,12 @@ def test_grid_that_quarantines_a_record_rewrites_the_manifest(tmp_path):
     assert manifest["entries"] == 2
 
 
-@pytest.mark.parametrize("engine", ["prefetch", "record", "worker"])
+@pytest.mark.parametrize("engine", ["prefetch", "record", "pool"])
 def test_every_engine_that_stores_records_writes_the_manifest(tmp_path, engine):
-    """Serial prefetch, a single ``record`` miss and a fabric worker each
-    compute through ``_replay_cells``, so each leaves a manifest that
-    counts every record file it stored."""
+    """Serial prefetch and a single ``record`` miss compute through
+    ``_replay_cells``; the pool's workers compute their cells apart, and
+    the parent's closing ``_replay_cells`` call writes the manifest.
+    Each leaves a manifest that counts every record file it stored."""
     materialize.clear_registry()
     missplane.clear_registry()
     cache_dir = tmp_path / "cache"
@@ -426,22 +426,14 @@ def test_every_engine_that_stores_records_writes_the_manifest(tmp_path, engine):
     elif engine == "record":
         Runner(grid).record("baseline", PARAMS)
     else:
-        spec = JobSpec(
-            labels=("baseline",),
-            scale=grid.scale,
-            slice_refs=grid.slice_refs,
-            issue_rates=grid.issue_rates,
-            sizes=grid.sizes,
-            seed=grid.seed,
-        )
-        store = JobStore(tmp_path / "state")
-        job, _ = store.submit(spec, plan_cells(spec, grid))
-        run_worker(tmp_path / "state", grid, "solo", job_filter={job.id})
+        # Two plane groups, so both representatives run in the pool.
+        grid = replace(grid, sizes=(512, 1024))
+        ParallelRunner(grid, workers=2).prefetch(["baseline"])
     records = sum(1 for _ in iter_cache_files(cache_dir))
-    assert records == (1 if engine == "record" else 2)
+    assert records == {"prefetch": 2, "record": 1, "pool": 4}[engine]
     manifest = observe.read_manifest(cache_dir)
     assert manifest is not None
-    assert manifest["entries"] == records
+    assert manifest["entries"] == manifest["cache"]["stores"] == records
     assert "grids" not in manifest
 
 

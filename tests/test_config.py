@@ -86,3 +86,22 @@ def test_from_env_lists_accept_scientific_notation():
     )
     assert config.issue_rates == (200_000_000, 4_000_000_000)
     assert config.sizes == (128, 4096)
+
+
+def test_from_env_integers_accept_scientific_notation():
+    config = ExperimentConfig.from_env({"REPRO_SLICE_REFS": "2e4", "REPRO_SEED": "1e0"})
+    assert config.slice_refs == 20_000
+    assert config.seed == 1
+
+
+@pytest.mark.parametrize("variable", ["REPRO_SLICE_REFS", "REPRO_SEED"])
+@pytest.mark.parametrize("value", ["2.5", "abc", "true"])
+def test_from_env_rejects_non_integral_integers(variable, value):
+    with pytest.raises(ConfigurationError, match=variable):
+        ExperimentConfig.from_env({variable: value})
+
+
+@pytest.mark.parametrize("value", ["abc", "true", ""])
+def test_from_env_rejects_a_non_numeric_scale(value):
+    with pytest.raises(ConfigurationError, match="REPRO_SCALE"):
+        ExperimentConfig.from_env({"REPRO_SCALE": value})

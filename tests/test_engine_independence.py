@@ -1,11 +1,11 @@
-"""One random grid, four engines, the same record bytes.
+"""One random grid, three engines, the same record bytes.
 
-The serial :class:`Runner`, the :class:`ParallelRunner` process pool,
-a fabric worker leasing plane groups from a journal and the sweep
-daemon all compute cells through the same plane-group routine, so for
-any grid they must leave byte-identical record files behind and agree
-on how many cells were recorded and how many were replayed.  The grid
-is drawn with a fixed seed, so a failure always reproduces.
+The serial :class:`Runner`, the :class:`ParallelRunner` process pool
+and the sweep daemon (which runs each job on that pool, here two
+workers wide) must leave byte-identical record files behind for any
+grid and agree on how many cells were recorded and how many were
+replayed.  The grid is drawn with a fixed seed, so a failure always
+reproduces.
 """
 
 import os
@@ -18,13 +18,12 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import GRID_BUILDERS, Runner, iter_cache_files
 from repro.service import ServiceClient, ServiceThread, SweepService
-from repro.service.fabric import run_worker
-from repro.service.jobs import JobSpec, JobStore, plan_cells
+from repro.service.jobs import JobSpec
 from repro.trace import filter as missplane
 from repro.trace import materialize
 
 pytestmark = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="the pool and the fabric need a Unix process model"
+    not hasattr(os, "fork"), reason="the pool needs a Unix process model"
 )
 
 
@@ -65,7 +64,7 @@ def runner_modes(runner) -> list[str]:
     return [event["mode"] for event in runner.events.of("cell_completed")]
 
 
-def test_serial_pool_fabric_and_daemon_leave_identical_records(tmp_path):
+def test_serial_pool_and_daemon_leave_identical_records(tmp_path):
     labels, grid = random_grid(1998)
 
     def config(name):
@@ -77,7 +76,6 @@ def test_serial_pool_fabric_and_daemon_leave_identical_records(tmp_path):
     pool = ParallelRunner(config("pool"), workers=2)
     pool.prefetch(labels)
 
-    fabric_config = config("fabric")
     spec = JobSpec(
         labels=labels,
         scale=grid.scale,
@@ -86,13 +84,7 @@ def test_serial_pool_fabric_and_daemon_leave_identical_records(tmp_path):
         sizes=grid.sizes,
         seed=grid.seed,
     )
-    store = JobStore(tmp_path / "fabric-state")
-    job, _ = store.submit(spec, plan_cells(spec, fabric_config))
-    run_worker(tmp_path / "fabric-state", fabric_config, "solo", job_filter={job.id})
-    store.tail()
-    fabric_modes = store.get(job.id).modes
-
-    thread = ServiceThread(SweepService(config("daemon"), port=0, workers=1))
+    thread = ServiceThread(SweepService(config("daemon"), port=0, workers=2))
     url = thread.start()
     try:
         client = ServiceClient(url)
@@ -105,11 +97,11 @@ def test_serial_pool_fabric_and_daemon_leave_identical_records(tmp_path):
     expected = records(tmp_path / "serial")
     cells = len(labels) * len(grid.issue_rates) * len(grid.sizes)
     assert len(expected) == cells
-    for name in ("pool", "fabric", "daemon"):
+    for name in ("pool", "daemon"):
         assert records(tmp_path / name) == expected, name
 
     counts = mode_counts(runner_modes(serial))
     assert counts == (len(labels) * len(grid.sizes), cells - len(labels) * len(grid.sizes))
     assert mode_counts(runner_modes(pool)) == counts
-    for modes in (fabric_modes, final["modes"]):
-        assert (modes.get("recorded", 0), modes.get("replayed", 0)) == counts
+    modes = final["modes"]
+    assert (modes.get("recorded", 0), modes.get("replayed", 0)) == counts

@@ -8,12 +8,13 @@ broken.
 """
 
 import os
+from dataclasses import replace
 
 import pytest
 
 import repro.experiments.parallel as parallel_mod
 from repro.analysis.runtime import RunRecord
-from repro.core.observe import read_manifest
+from repro.core.observe import read_events, read_manifest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
     ParallelRunner,
@@ -163,7 +164,7 @@ def test_cell_specs_carry_the_shared_trace_artifact(tmp_path):
     directory every spec carries, not through a path of their own."""
     par = ParallelRunner(config(tmp_path), workers=1)
     pending = par.pending_cells(LABELS)
-    assert {spec.cache_dir for spec in pending} == {str(tmp_path)}
+    assert {spec.config.cache_dir for spec in pending} == {tmp_path}
     par._workload()
     (artifact,) = (tmp_path / materialize.TRACE_DIRNAME).iterdir()
     assert artifact.is_dir()
@@ -215,7 +216,7 @@ def test_without_cache_dir_workers_get_no_artifact():
     )
     par = ParallelRunner(cfg, workers=1)
     pending = par.pending_cells(LABELS)
-    assert all(spec.cache_dir is None for spec in pending)
+    assert all(spec.config.cache_dir is None for spec in pending)
     pool_specs, deferred = par._plan_pool(pending)
     assert pool_specs == pending
     assert deferred == []
@@ -244,6 +245,37 @@ def test_worker_timed_wraps_untimed(tmp_path):
     payload, wall_s = _simulate_cell_timed(spec)
     assert payload == _simulate_cell(spec)
     assert wall_s > 0
+
+
+def test_pool_workers_log_their_plane_events(tmp_path):
+    """A pool worker records its plane group's representative and
+    appends the ``plane_recorded`` event to the configured event log
+    itself; the serial runner logs the same plane keys."""
+
+    def probe(name):
+        return replace(
+            config(tmp_path / name),
+            scale=0.00002,
+            issue_rates=(2 * 10**8, 10**9),
+            sizes=(512, 1024),
+            event_log=tmp_path / f"{name}.jsonl",
+        )
+
+    def plane_events(name):
+        return [
+            event
+            for event in read_events(tmp_path / f"{name}.jsonl")
+            if event["event"] == "plane_recorded"
+        ]
+
+    Runner(probe("serial")).prefetch(LABELS)
+    ParallelRunner(probe("pool"), workers=2).prefetch(LABELS)
+    serial, pool = plane_events("serial"), plane_events("pool")
+    assert len(pool) == 4
+    assert os.getpid() not in {event["pid"] for event in pool}
+    assert sorted(event["key"] for event in pool) == sorted(
+        event["key"] for event in serial
+    )
 
 
 def test_prefetch_emits_sweep_events_and_manifest(tmp_path):

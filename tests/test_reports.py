@@ -498,7 +498,7 @@ def test_sse_stream_has_dashboard_payload_shape(service):
     names = [name for name, _ in seen]
     assert "job" in names  # the snapshot the dashboard seeds from
     snapshot = dict(seen)["job"]
-    for field in ("id", "status", "done", "total", "modes", "leases"):
+    for field in ("id", "status", "done", "total", "modes"):
         assert field in snapshot
     # Per-cell events are racy by design (the job can finish between
     # submit and subscribe); any that did arrive must carry the fields

@@ -17,6 +17,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.service.jobs import (
     COMPLETED,
     FAILED,
+    JOURNAL_NAME,
+    JOURNAL_SCHEMA,
     QUEUED,
     RUNNING,
     JobSpec,
@@ -59,12 +61,19 @@ def spec(labels=("baseline", "rampage"), **overrides):
     return JobSpec(**fields)
 
 
+def journal_entries(store):
+    """The journal's parseable lines, skipping torn ones as replay does."""
+    entries = []
+    for line in store.path.read_text("utf-8").splitlines():
+        try:
+            entries.append(json.loads(line))
+        except json.JSONDecodeError:
+            continue
+    return entries
+
+
 def journal_ops(store):
-    return [
-        json.loads(line)["op"]
-        for line in store.path.read_text("utf-8").splitlines()
-        if line.strip()
-    ]
+    return [entry["op"] for entry in journal_entries(store)]
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +203,87 @@ def test_recovery_skips_torn_trailing_line_and_garbage(tmp_path):
     resumed = second.recover()
     assert [item.id for item in resumed] == [job.id]
     assert second.get(job.id).done == 0
+
+
+def test_torn_tail_is_sealed_before_new_appends(tmp_path):
+    base = base_config(tmp_path / "cache")
+    store = JobStore(tmp_path / "state")
+    baseline = spec(("baseline",))
+    job, _ = store.submit(baseline, plan_cells(baseline, base))
+    with open(store.path, "a", encoding="utf-8") as handle:
+        handle.write('{"op": "cell", "id": "' + job.id)  # kill -9 mid-append
+
+    second = JobStore(tmp_path / "state")
+    second.recover()
+    second.mark_running(job.id)
+    # The torn fragment became one complete bad line; the new op parses.
+    assert journal_ops(second) == ["submit", "start"]
+    third = JobStore(tmp_path / "state")
+    third.recover()
+    assert third.get(job.id).status == "queued"  # running at crash
+    assert third.get(job.id).done == 0
+
+
+def test_v1_journal_without_lease_ops_still_replays(tmp_path):
+    """A v2 journal holding the ``lease``/``release`` lines (and the
+    cells' ``label``/``wall_s`` fields) that the retired worker fabric
+    wrote, and the same journal as v1 without them, recover the same
+    jobs, statuses and counters."""
+    base = base_config(tmp_path / "cache")
+    store = JobStore(tmp_path / "state")
+    done_spec, open_spec = spec(("baseline",)), spec(("rampage",))
+    done_cells = plan_cells(done_spec, base)
+    open_cells = plan_cells(open_spec, base)
+    finished, _ = store.submit(done_spec, done_cells)
+    interrupted, _ = store.submit(open_spec, open_cells)
+
+    def op(name, job_id, **fields):
+        return {"schema": JOURNAL_SCHEMA, "ts": 1.0, "op": name, "id": job_id, **fields}
+
+    def lease(name, job_id, group, worker):
+        extra = {"expires_ts": 61.0} if name == "lease" else {}
+        return op(name, job_id, group=group, worker=worker, **extra)
+
+    def cell(job_id, planned, mode):
+        return op("cell", job_id, key=planned.key, mode=mode, label=planned.label,
+                  wall_s=0.5)
+
+    v2 = journal_entries(store)
+    for job_id, cells in ((finished.id, done_cells), (interrupted.id, open_cells)):
+        v2 += [
+            op("start", job_id),
+            lease("lease", job_id, "g0", "w0"),
+            cell(job_id, cells[0], "recorded"),
+            lease("release", job_id, "g0", "w0"),
+            lease("lease", job_id, "g1", "w1"),  # never released: killed
+        ]
+    v2 += [
+        cell(finished.id, done_cells[1], "replayed"),
+        lease("release", finished.id, "g1", "w1"),
+        op("done", finished.id),
+    ]
+    v1 = [
+        {key: value for key, value in entry.items() if key not in ("label", "wall_s")}
+        | {"schema": "rampage-job/1"}
+        for entry in v2
+        if entry["op"] not in ("lease", "release")
+    ]
+
+    recovered = []
+    for name, entries in (("v1", v1), ("v2", v2)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / JOURNAL_NAME).write_text(
+            "".join(json.dumps(entry) + "\n" for entry in entries), "utf-8"
+        )
+        replayed = JobStore(tmp_path / name)
+        assert [job.id for job in replayed.recover()] == [interrupted.id]
+        recovered.append(
+            [(job.id, job.status, job.done, job.modes) for job in replayed.jobs()]
+        )
+    assert recovered[0] == recovered[1] == [
+        (finished.id, COMPLETED, 2, {"recorded": 1, "replayed": 1}),
+        (interrupted.id, QUEUED, 1, {"recorded": 1}),
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -458,44 +458,3 @@ def test_retry_after_hint_is_ceiled_never_truncated(tmp_path):
             assert body["retry_after_s"] == hint  # exact hint in the JSON
     finally:
         thread.stop()
-
-
-def test_fabric_daemon_serves_byte_identical_records(tmp_path):
-    """``serve --fabric 2``: worker processes lease groups from the
-    journal, the daemon bridges their progress to SSE, and the fetched
-    records match a serial runner byte for byte."""
-    svc = SweepService(
-        config(tmp_path / "cache"), port=0, queue_limit=4, fabric=2
-    )
-    thread = ServiceThread(svc)
-    url = thread.start()
-    try:
-        client = ServiceClient(url)
-        job = client.submit({"labels": list(LABELS)})
-        events = []
-        final = client.wait(
-            job["id"], timeout=300,
-            on_event=lambda name, p: events.append((name, p)),
-        )
-        assert final["status"] == "completed"
-        assert final["done"] == final["total"] == 4
-        assert final["leases"] == {}
-        cell_events = [p for name, p in events if name == "cell_completed"]
-        assert len(cell_events) == 4
-        assert [p["done"] for p in cell_events] == [1, 2, 3, 4]
-        terminal = [name for name, _ in events if name == "job_completed"]
-        assert len(terminal) == 1  # no duplicate terminal broadcast
-
-        serial = Runner(config(tmp_path / "serial"))
-        for label in LABELS:
-            serial.grid(label)
-        serial_files = {
-            path.name: path.read_bytes()
-            for path in iter_cache_files(tmp_path / "serial")
-        }
-        for cell in client.records(job["id"])["records"]:
-            assert cell["present"]
-            fetched = client.fetch_record(cell["key"])
-            assert fetched == serial_files[f"{cell['key']}.json"]
-    finally:
-        thread.stop()

@@ -1,12 +1,15 @@
 #!/usr/bin/env python
 """End-to-end smoke test for the sweep-service daemon (CI gate).
 
-Drives a real ``rampage-sim serve`` subprocess through the full service
-contract over the standard six-cell bench grid (two machines, three
-issue rates — the speed-ratio sweep every paper table runs):
+Drives a real ``rampage-sim serve --workers 2`` subprocess through the
+full service contract over the standard nine-cell bench grid (three
+machines, three issue rates — the speed-ratio sweep every paper table
+runs — in three plane groups, so the job runs on the process pool):
 
 1. start the daemon on a free port and wait for its ready line,
 2. submit the grid over HTTP and stream SSE progress to completion,
+   while eight threads poll ``/healthz`` and the job; any error but a
+   429 fails the run,
 3. fetch every record and assert it is **byte-identical** to what the
    serial in-process :class:`Runner` produces for the same cells, then
    fetch each grid's JSON report twice over ``/v1/reports`` and assert
@@ -38,6 +41,7 @@ import sys
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -63,6 +67,7 @@ from repro.service.client import ServiceError  # noqa: E402
 
 READY_TIMEOUT_S = 30
 JOB_TIMEOUT_S = 600
+POLL_THREADS = 8
 
 
 def fail(message: str) -> None:
@@ -125,6 +130,39 @@ def _drain(proc: subprocess.Popen) -> None:
         print(f"  [daemon] {line.rstrip()}")
 
 
+@contextmanager
+def poll_burst(url: str, job_id: str, errors: list[str]):
+    """``POLL_THREADS`` threads poll ``/healthz`` and the job until the
+    block exits; every error but a 429 lands in ``errors``."""
+    stop = threading.Event()
+
+    def poll() -> None:
+        client = ServiceClient(url, retries=0)
+        while not stop.is_set():
+            try:
+                client.health()
+                client.job(job_id)
+            except ServiceError as exc:
+                if exc.status != 429:
+                    errors.append(str(exc))
+            except Exception as exc:  # noqa: BLE001
+                errors.append(str(exc))
+            time.sleep(0.01)
+
+    pollers = [threading.Thread(target=poll, daemon=True)
+               for _ in range(POLL_THREADS)]
+    for poller in pollers:
+        poller.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        for poller in pollers:
+            poller.join(timeout=10)
+            if poller.is_alive():
+                errors.append("a poller did not stop within 10 s")
+
+
 def serial_ground_truth(work_dir: Path) -> dict[str, bytes]:
     """Run the same grid serially into a separate cache; key -> bytes."""
     serial_cache = work_dir / "serial-cache"
@@ -150,7 +188,7 @@ def main() -> int:
         job = client.submit(spec_payload())
         total = len(SWEEP_LABELS) * len(SWEEP_RATES) * len(SWEEP_SIZES)
         check(job["created"] and job["total"] == total,
-              f"six-cell bench grid accepted as job {job['id']}")
+              f"nine-cell bench grid accepted as job {job['id']}")
 
         progress = []
 
@@ -160,9 +198,15 @@ def main() -> int:
                 print(f"  [sse] cell {payload['done']}/{payload['total']} "
                       f"({payload['mode']}, {payload['label']})")
 
-        final = client.wait(job["id"], timeout=JOB_TIMEOUT_S,
-                            on_event=on_event)
+        poll_errors: list[str] = []
+        with poll_burst(url, job["id"], poll_errors):
+            final = client.wait(job["id"], timeout=JOB_TIMEOUT_S,
+                                on_event=on_event)
         check(final["status"] == "completed", "job completed")
+        check(not poll_errors,
+              f"{POLL_THREADS} threads polled /healthz and the job while it "
+              f"ran: {len(poll_errors)} errors"
+              + (f" (first: {poll_errors[0]})" if poll_errors else ""))
         check(len(progress) == total,
               f"SSE streamed all {total} cell completions")
 
