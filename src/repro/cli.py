@@ -8,7 +8,6 @@ Subcommands::
     rampage-sim report figures --format svg  # render cached records
     rampage-sim sweep --kind rampage ...  # one ad-hoc simulation cell
     rampage-sim cache stats|verify|purge  # inspect/repair the run cache
-    rampage-sim bench --check|--replay    # identity gates (CI)
     rampage-sim serve                     # sweep-service HTTP daemon
     rampage-sim submit|status|watch|fetch # talk to a running daemon
 
@@ -30,7 +29,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro import bench
 from repro.core.errors import (
     CacheIntegrityError,
     ConfigurationError,
@@ -217,11 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="as_json",
         help="machine-readable output (the /v1/bench cache serializer)",
     )
-
-    bench_cmd = sub.add_parser(
-        "bench", help="run an identity gate: --check or --replay"
-    )
-    bench.add_arguments(bench_cmd)
 
     serve_cmd = sub.add_parser(
         "serve", help="run the sweep-service HTTP daemon (docs/service.md)"
@@ -533,7 +526,6 @@ def _cache_purge(cache_dir: Path, args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.errors import ConfigurationError
     from repro.service.server import serve
 
     def announce(service) -> None:
@@ -544,19 +536,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    try:
-        serve(
-            ExperimentConfig.from_env(),
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            queue_limit=args.queue_limit,
-            state_dir=args.state_dir,
-            ready=announce,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    serve(
+        ExperimentConfig.from_env(),
+        host=args.host,
+        port=args.port,
+        workers=args.workers,
+        queue_limit=args.queue_limit,
+        state_dir=args.state_dir,
+        ready=announce,
+    )
     return 0
 
 
@@ -740,11 +728,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             return 1
     else:
         config = _report_overrides(_config_with_flags(args), args)
-        try:
-            report = build_report(args.name, config)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = build_report(args.name, config)
         if (
             args.min_complete is not None
             and report.completeness < args.min_complete
@@ -775,22 +759,26 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "figures":
-        return _cmd_figures(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "bench":
-        return bench.run(args)
-    if args.command in _SERVICE_COMMANDS:
-        return _cmd_service(args)
+    try:
+        if args.command == "list":
+            return _cmd_list()
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "figures":
+            return _cmd_figures(args)
+        if args.command == "report":
+            return _cmd_report(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args)
+        if args.command == "cache":
+            return _cmd_cache(args)
+        if args.command in _SERVICE_COMMANDS:
+            return _cmd_service(args)
+    except ConfigurationError as exc:
+        # A bad REPRO_* variable or report name is a usage error, like
+        # a bad flag: a message and exit 2, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     raise AssertionError("unreachable")  # pragma: no cover
 
 

@@ -10,11 +10,12 @@ inclusion maintenance -- and defines the access protocol:
   process was preempted by a switch-on-miss and the reference must
   replay).
 * :meth:`run_chunk` consumes a :class:`~repro.trace.record.TraceChunk`
-  and returns how many references it consumed.  The base implementation
-  loops over :meth:`access` and is each machine's oracle; both machines
-  route direct-mapped L1s to the run-collapsed
-  :meth:`_run_chunk_vectorized` instead, which must stay observationally
-  identical (tests assert equivalence between the two).
+  and returns how many references it consumed.  Direct-mapped L1s with
+  the generic physical-block indexing take the run-collapsed
+  :meth:`_run_chunk_vectorized`; every other machine runs
+  :meth:`_run_chunk_oracle`, the loop over :meth:`access` that is each
+  machine's oracle.  The two must stay observationally identical
+  (tests assert equivalence between them).
 
 Timing rules are documented in DESIGN.md section 4; every charge in
 this file cites the paper parameter it implements.
@@ -39,6 +40,10 @@ from repro.trace.record import IFETCH, WRITE, TraceChunk
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ossim.footprint import OsLayout
     from repro.trace.filter import PlaneRecorder
+
+#: References the ``access()`` oracle loop converts per step
+#: (:meth:`MemorySystem._run_chunk_oracle`).
+ORACLE_PIECE = 256
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,11 @@ class MemorySystem:
     """Base class of the two machines."""
 
     kind = "abstract"
+    #: Whether a frame, once translated, never moves (the conventional
+    #: machine never reclaims a DRAM page): the vectorized loop's
+    #: micro-cache over the last translation then survives a slow
+    #: translation (see :meth:`_run_chunk_vectorized`).
+    stable_translation = True
 
     def __init__(self, params: MachineParams) -> None:
         self.params = params
@@ -118,6 +128,9 @@ class MemorySystem:
         self._vpn_space_bits = params.vaddr_bits - self._page_bits
         self.handlers = HandlerLibrary(params.handlers, self._os_layout())
         self._preempted = False
+        # The pid whose references are running: a switch-on-miss fault
+        # preempts it.
+        self._current_pid = 0
         # Fast paths that probe the L1 tag arrays directly are only
         # sound when the subclass keeps the generic physical-block
         # indexing (virtual-L1 machines override _l1_access to retag
@@ -191,20 +204,42 @@ class MemorySystem:
         return True
 
     def run_chunk(self, chunk: TraceChunk) -> int:
-        """Consume a chunk; returns references consumed (see class doc)."""
+        """Consume a chunk; returns references consumed (see module doc)."""
+        self._current_pid = chunk.pid
+        if (
+            self.l1i.ways == 1
+            and self.l1d.ways == 1
+            and self._generic_l1_access
+        ):
+            return self._run_chunk_vectorized(chunk)
+        return self._run_chunk_oracle(chunk)
+
+    def _run_chunk_oracle(self, chunk: TraceChunk) -> int:
+        """The :meth:`access` loop over a chunk: every machine's oracle.
+
+        References become Python ints :data:`ORACLE_PIECE` at a time.
+        Nothing is cached on the chunk: materialized chunks are shared
+        across grid cells, and cached lists would hold every chunk's
+        references as ints.  A preempted chunk comes back as its tail,
+        so converting whole chunks would repeat the work once per
+        preemption.
+        """
         pid = chunk.pid
-        kinds = chunk.kinds_list
-        addrs = chunk.addrs_list
-        for idx in range(len(kinds)):
-            if not self.access(kinds[idx], addrs[idx], pid):
-                return idx
-        return len(kinds)
+        access = self.access
+        n = len(chunk)
+        for lo in range(0, n, ORACLE_PIECE):
+            kinds = chunk.kinds[lo:lo + ORACLE_PIECE].tolist()
+            addrs = chunk.addrs[lo:lo + ORACLE_PIECE].tolist()
+            for idx in range(len(kinds)):
+                if not access(kinds[idx], addrs[idx], pid):
+                    return lo + idx
+        return n
 
     # ------------------------------------------------------------------
     # Run-collapsed fast path (direct-mapped L1s)
     # ------------------------------------------------------------------
 
-    def _run_chunk_vectorized(self, chunk: TraceChunk, stable_translation: bool) -> int:
+    def _run_chunk_vectorized(self, chunk: TraceChunk) -> int:
         """Hot loop over the chunk's pre-translated runs.
 
         Consumes the :class:`~repro.trace.record.ChunkRuns` window --
@@ -224,13 +259,14 @@ class MemorySystem:
         fills -- but need ``slot_of``.)  Associative L1s run the
         :meth:`access` oracle instead.
 
-        ``stable_translation`` mirrors the machines' micro-cache rules:
+        :attr:`stable_translation` is the machine's micro-cache rule:
         the conventional machine's frames never move, so the last
         (vpn, frame) pair survives a slow translation; RAMpage drops it
         after every TLB miss (a fault may remap pages) and re-probes
         the TLB on the following reference.  Observationally identical
         to the :meth:`access` oracle; the equivalence suites enforce it.
         """
+        stable_translation = self.stable_translation
         runs = chunk.runs_for(
             self._page_bits, self._l1_block_bits, self._vpn_space_bits
         )

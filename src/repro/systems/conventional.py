@@ -21,7 +21,6 @@ from repro.mem.cache import SetAssociativeCache
 from repro.mem.victim import VictimBuffer
 from repro.ossim.footprint import CONVENTIONAL_OS_BASE, OsLayout, conventional_layout
 from repro.systems.base import MemorySystem
-from repro.trace.record import TraceChunk
 
 
 class ConventionalSystem(MemorySystem):
@@ -134,21 +133,3 @@ class ConventionalSystem(MemorySystem):
         l2_block = victim_block >> (self._l2_block_bits - self._l1_block_bits)
         # Inclusion guarantees residency; mark_dirty raises otherwise.
         self.l2.mark_dirty(l2_block)
-
-    # ------------------------------------------------------------------
-    # Chunk loop
-    # ------------------------------------------------------------------
-
-    def run_chunk(self, chunk: TraceChunk) -> int:
-        """Consume a chunk; observationally identical to base access().
-
-        DRAM pages are never reclaimed in this machine, so a
-        (vpn -> frame) micro-cache over the last translation is safe --
-        and survives slow translations (``stable_translation=True``).
-        Direct-mapped L1s take the run-collapsed loop, whose tag probe
-        reads the one slot a block can occupy; associative L1s run the
-        ``access()`` oracle.
-        """
-        if self.l1i.ways == 1 and self.l1d.ways == 1:
-            return self._run_chunk_vectorized(chunk, stable_translation=True)
-        return super().run_chunk(chunk)

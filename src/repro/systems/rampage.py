@@ -22,7 +22,6 @@ from repro.core.params import MachineParams
 from repro.mem.sram_memory import FaultOutcome, SramMainMemory
 from repro.ossim.footprint import OsLayout, rampage_layout
 from repro.systems.base import MemorySystem
-from repro.trace.record import TraceChunk
 
 #: Bytes read from the DRAM-resident page table to locate a page's DRAM
 #: copy during a fault (one table entry plus its cache line padding).
@@ -33,6 +32,9 @@ class RampageSystem(MemorySystem):
     """SRAM-main-memory machine with software-managed replacement."""
 
     kind = "rampage"
+    #: A page fault can unmap any page, so the vectorized loop drops
+    #: its cached (vpn, frame) pair after every TLB miss.
+    stable_translation = False
 
     def __init__(self, params: MachineParams) -> None:
         if params.kind != "rampage":
@@ -51,7 +53,6 @@ class RampageSystem(MemorySystem):
         #: sibling cell, so the WAIT op must be recorded at the frame's
         #: first structural touch regardless.
         self._plane_shadow: dict[int, int] = {}
-        self._current_pid = 0
 
     def _os_layout(self) -> OsLayout:
         return rampage_layout(self.params.rampage)
@@ -193,23 +194,8 @@ class RampageSystem(MemorySystem):
         self.sram.mark_dirty(frame)
 
     # ------------------------------------------------------------------
-    # Chunk loop
+    # Reference path
     # ------------------------------------------------------------------
-
-    def run_chunk(self, chunk: TraceChunk) -> int:
-        """Consume a chunk; observationally identical to base access().
-
-        Unlike the conventional machine, no micro-cache over the last
-        translation survives a slow path: a page fault can unmap any
-        page, so the cached (vpn, frame) pair is dropped after every
-        TLB miss (``stable_translation=False``).  Direct-mapped L1s
-        take the run-collapsed loop, whose tag probe reads the one slot
-        a block can occupy; associative L1s run the ``access()`` oracle.
-        """
-        self._current_pid = chunk.pid
-        if self.l1i.ways == 1 and self.l1d.ways == 1:
-            return self._run_chunk_vectorized(chunk, stable_translation=False)
-        return super().run_chunk(chunk)
 
     def access(self, kind: int, vaddr: int, pid: int = 0) -> bool:
         self._current_pid = pid

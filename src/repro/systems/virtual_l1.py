@@ -40,7 +40,7 @@ from repro.core.params import MachineParams
 from repro.mem.inverted_page_table import FREE
 from repro.mem.sram_memory import FaultOutcome
 from repro.systems.rampage import RampageSystem
-from repro.trace.record import IFETCH, WRITE, TraceChunk
+from repro.trace.record import IFETCH, WRITE
 
 #: Reserved "process id" tagging the OS's physically-addressed handler
 #: references so they can share the virtually-indexed L1s without
@@ -100,17 +100,6 @@ class VirtualL1RampageSystem(RampageSystem):
         paddr = (frame << self._page_bits) | (vaddr & self._page_mask)
         self._l1_miss(cache, vblock, paddr, kind)
         return True
-
-    def run_chunk(self, chunk: TraceChunk) -> int:
-        """The ``access()`` oracle loop; the virtual path has no fast loop."""
-        # Per-call tolist(): the base loop's list mirrors, cached on shared chunks, raise peak RSS.
-        pid = chunk.pid
-        kinds = chunk.kinds.tolist()
-        addrs = chunk.addrs.tolist()
-        for idx in range(len(kinds)):
-            if not self.access(kinds[idx], addrs[idx], pid):
-                return idx
-        return len(kinds)
 
     # ------------------------------------------------------------------
     # Below-L1 plumbing in virtual-block space

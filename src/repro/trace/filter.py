@@ -765,15 +765,14 @@ def _replay_timeline(
 
     This is the scalar equivalence oracle for the vectorized
     :class:`~repro.trace.replay_kernel.ReplayKernel`, which prices every
-    production cell: the kernel tests fuzz the pair, and ``rampage-sim
-    bench --replay`` gates on them agreeing.  On a recording's tape --
-    cycle stamps nondecreasing, always true for a real plane -- the
-    pending-fill map stays bounded: a
-    fill's completion time is dropped once consumed by its wait (a
-    later wait on the same fill can never stall, because the first one
-    left ``now`` at or past the ready time), and a synchronous
-    transfer retires every pending fill at once (it drains the
-    channel, so ``now`` ends at or past every queued completion).
+    production cell; the kernel tests compare the pair on random and
+    recorded tapes.  On a recording's tape -- cycle stamps
+    nondecreasing, always true for a real plane -- the pending-fill map
+    stays bounded: a fill's completion time is dropped once consumed by
+    its wait (a later wait on the same fill can never stall, because
+    the first one left ``now`` at or past the ready time), and a
+    synchronous transfer retires every pending fill at once (it drains
+    the channel, so ``now`` ends at or past every queued completion).
     Both retirements lean on ``now`` never moving backwards, so a tape
     with *decreasing* stamps keeps every completion time instead --
     the original semantics, which the kernel's whole-tape fallback

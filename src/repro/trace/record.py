@@ -243,26 +243,17 @@ class TraceChunk:
     the first chunk after a scheduling boundary; the simulator inserts
     a context-switch trace there when scheduled switches are enabled.
 
-    Derived views -- the scalar list mirrors of the arrays and the
-    per-machine :class:`ChunkRuns` pre-translation -- are computed
+    The per-machine :class:`ChunkRuns` pre-translation is computed
     lazily and cached.  Chunks split off by :meth:`tail` and
-    :meth:`head` inherit them: the list mirrors as slices, the runs as
-    windows over the same run table, so a preempted chunk never
-    re-translates references it already paid for.  A split still copies
-    the list mirrors when the chunk holds them (only the ``access()``
-    oracle loop reads those); the runs cost a bisect.
+    :meth:`head` inherit it as windows over the same run table, so a
+    preempted chunk never re-translates references it already paid
+    for; a split costs a bisect.
     """
 
     pid: int
     kinds: np.ndarray
     addrs: np.ndarray
     new_slice: bool = False
-    _kinds_list: list[int] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _addrs_list: list[int] | None = field(
-        default=None, repr=False, compare=False
-    )
     #: Per-geometry map of pre-translated runs (see :meth:`runs_for`).
     _runs: RunsMap | None = field(
         default=None, repr=False, compare=False
@@ -298,20 +289,6 @@ class TraceChunk:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    @property
-    def kinds_list(self) -> list[int]:
-        """``kinds`` as a cached Python list (scalar-loop fuel)."""
-        if self._kinds_list is None:
-            self._kinds_list = self.kinds.tolist()
-        return self._kinds_list
-
-    @property
-    def addrs_list(self) -> list[int]:
-        """``addrs`` as a cached Python list (scalar-loop fuel)."""
-        if self._addrs_list is None:
-            self._addrs_list = self.addrs.tolist()
-        return self._addrs_list
 
     def runs_for(
         self, page_bits: int, l1_block_bits: int, vpn_space_bits: int
@@ -372,53 +349,44 @@ class TraceChunk:
     def tail(self, consumed: int) -> "TraceChunk":
         """The unconsumed suffix as a new chunk.
 
-        Arrays are numpy views (no copy); cached list views are sliced,
-        and the run map is linked lazily -- the tail derives a
-        geometry's window the first time a machine asks for it
-        (:meth:`_derived_runs`).  At a run boundary, which is where
-        every preemption lands, that costs one bisect, so handing a
-        preemption tail back to the scheduler is O(log runs) for the
-        one geometry in use, however many times the chunk has already
-        been split.
+        Arrays are numpy views (no copy), and the run map is linked
+        lazily -- the tail derives a geometry's window the first time a
+        machine asks for it (:meth:`_derived_runs`).  At a run boundary,
+        which is where every preemption lands, that costs one bisect, so
+        handing a preemption tail back to the scheduler is O(log runs)
+        for the one geometry in use, however many times the chunk has
+        already been split.
         """
         chunk = TraceChunk(
             pid=self.pid,
             kinds=self.kinds[consumed:],
             addrs=self.addrs[consumed:],
         )
-        if self._kinds_list is not None:
-            chunk._kinds_list = self._kinds_list[consumed:]
-        if self._addrs_list is not None:
-            chunk._addrs_list = self._addrs_list[consumed:]
         chunk._runs_src = self._split_link(consumed, len(self.kinds))
         return chunk
 
     def head(self, count: int) -> "TraceChunk":
         """The first ``count`` references as a new chunk.
 
-        Like :meth:`tail`, arrays are views, cached list views are
-        sliced, and runs derive lazily as a window.  A cut landing
-        mid-run copies the head's runs and rescans only the cut run's
-        references (:meth:`ChunkRuns.prefix`), far cheaper than the
-        full translation pass the head would otherwise repeat.
+        Like :meth:`tail`, arrays are views and runs derive lazily as a
+        window.  A cut landing mid-run copies the head's runs and
+        rescans only the cut run's references (:meth:`ChunkRuns.prefix`),
+        far cheaper than the full translation pass the head would
+        otherwise repeat.
         """
         chunk = TraceChunk(
             pid=self.pid,
             kinds=self.kinds[:count],
             addrs=self.addrs[:count],
         )
-        if self._kinds_list is not None:
-            chunk._kinds_list = self._kinds_list[:count]
-        if self._addrs_list is not None:
-            chunk._addrs_list = self._addrs_list[:count]
         chunk._runs_src = self._split_link(0, count)
         return chunk
 
     def references(self) -> Iterator[Reference]:
         """Iterate as scalar :class:`Reference` values (slow path)."""
         pid = self.pid
-        for kind, addr in zip(self.kinds_list, self.addrs_list):
-            yield Reference(int(kind), int(addr), pid)
+        for kind, addr in zip(self.kinds.tolist(), self.addrs.tolist()):
+            yield Reference(kind, addr, pid)
 
     @classmethod
     def from_references(cls, refs: Iterable[Reference], pid: int | None = None) -> "TraceChunk":

@@ -58,9 +58,8 @@ array-accepting price functions in :mod:`repro.mem.dram`) are cached by
 Rambus parameter set, so cells that sweep only the issue rate share
 tables too.  Output is byte-identical to the scalar
 ``_replay_timeline`` for every op tape and timing -- the scalar loop
-remains the equivalence oracle (the property tests in
-``tests/test_replay_kernel.py`` fuzz the pair, and ``rampage-sim bench
---replay`` gates on zero mismatches while recording the speedup).
+remains the equivalence oracle (``tests/test_replay_kernel.py``
+compares the pair on random and recorded tapes).
 ``PlaneRecorder.capture`` prices every recording's tape with this
 kernel at the recording's own timing and requires the run's measured
 DRAM time, stall and overlap.

@@ -275,15 +275,10 @@ def test_chained_splits_derive_through_original_parent(monkeypatch):
 
 
 def test_tail_and_head_share_list_caches():
+    """Split chunks are views of the parent's arrays, not copies."""
     chunk = random_chunks(5, n_chunks=1)[0]
-    kinds = chunk.kinds_list
-    addrs = chunk.addrs_list
     tail = chunk.tail(100)
     head = chunk.head(100)
-    assert tail._kinds_list == kinds[100:]
-    assert tail._addrs_list == addrs[100:]
-    assert head._kinds_list == kinds[:100]
-    assert head._addrs_list == addrs[:100]
     # numpy halves are views of the same buffers, not copies
     assert tail.addrs.base is not None
     assert head.addrs.base is not None
@@ -310,13 +305,6 @@ def test_head_prefix_at_run_boundary_and_full_length():
     assert_runs_match(head.runs_for(*GEOMETRY), scalar_runs(head), boundary)
     whole = chunk.head(len(chunk))
     assert whole.runs_for(*GEOMETRY) is runs  # full-length prefix is free
-
-
-def test_list_caches_match_arrays():
-    chunk = random_chunks(1, n_chunks=1)[0]
-    assert chunk.kinds_list == chunk.kinds.tolist()
-    assert chunk.addrs_list == chunk.addrs.tolist()
-    assert chunk.kinds_list is chunk.kinds_list  # cached, not rebuilt
 
 
 def run_heavy_chunk(seed, n, jump_p):

@@ -5,14 +5,12 @@ import json
 import pytest
 from helpers import tree_state
 
-from repro import bench
 from repro.cli import EXPERIMENTS, main
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import Runner, iter_cache_files, iter_quarantined_files
 from repro.systems.factory import rampage_machine
 from repro.trace import filter as missplane
 from repro.trace.filter import MANIFEST_NAME, PLANE_DIRNAME
-from repro.trace.replay_kernel import ReplayKernel
 
 
 def test_list_prints_experiments(capsys):
@@ -37,6 +35,25 @@ def test_run_unknown_experiment_fails(capsys):
 def test_run_writes_output_files(tmp_path, capsys):
     assert main(["run", "table1", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "table1.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "table1"],
+        ["figures", "--out", "figs"],
+        ["report", "baseline"],
+        ["sweep", "--kind", "baseline"],
+        ["cache", "stats"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bad_environment_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    """A malformed REPRO_* variable is exit 2 naming it, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_SLICE_REFS", "abc")
+    assert main(argv) == 2
+    assert "error: REPRO_SLICE_REFS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -314,59 +331,6 @@ def test_cache_purge_all_removes_artifact_directories(tmp_path, capsys, monkeypa
     out = capsys.readouterr().out
     assert "purged 1 cache entries and 2 artifact directories" in out
     assert plane_dirs(tmp_path) == []
-
-
-def test_bench_check_smoke(capsys):
-    assert main(["bench", "--check"]) == 0
-    assert "check OK" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [[], ["--check", "--replay"], ["--rounds", "2"], ["--out", "x"]],
-    ids=["no-gate", "both-gates", "rounds", "out"],
-)
-def test_bench_takes_exactly_one_gate(argv, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", *argv])
-    assert excinfo.value.code == 2
-
-
-@pytest.mark.parametrize("perturbed", [None, "scalar", "kernel"])
-def test_bench_replay_gate_fails_on_one_perturbed_cell(perturbed, monkeypatch, capsys):
-    """The kernel gate exits 1 when either engine's output for a single
-    cell moves, and 0 when both engines agree."""
-    monkeypatch.setattr(bench, "SWEEP_SCALE", 0.00002)
-    if perturbed == "scalar":
-        real_timeline = missplane._replay_timeline
-        calls = []
-
-        def timeline(dram, cycle_ps, columns):
-            dram_ps, stall_ps, overlap_ps = real_timeline(dram, cycle_ps, columns)
-            calls.append(cycle_ps)
-            if len(calls) == 5:
-                dram_ps += 1
-            return dram_ps, stall_ps, overlap_ps
-
-        monkeypatch.setattr(missplane, "_replay_timeline", timeline)
-    elif perturbed == "kernel":
-        # A subclass, so plane recording keeps validating with the real kernel.
-        class PerturbedKernel(ReplayKernel):
-            def price_many(self, timings):
-                priced = super().price_many(timings)
-                dram_ps, stall_ps, overlap_ps = priced[-1]
-                priced[-1] = (dram_ps, stall_ps + 1, overlap_ps)
-                return priced
-
-        monkeypatch.setattr(bench, "ReplayKernel", PerturbedKernel)
-    code = main(["bench", "--replay"])
-    out = capsys.readouterr().out
-    if perturbed is None:
-        assert code == 0
-        assert "replay OK" in out
-    else:
-        assert code == 1
-        assert "REPLAY GATE FAILED" in out
 
 
 def test_cache_commands_handle_missing_directory(tmp_path, capsys):

@@ -2,8 +2,8 @@
 
 Both machines send direct-mapped L1s through the run-collapsed
 ``_run_chunk_vectorized`` loop; these tests assert it is
-*observationally identical* to the ``access()`` oracle that the base
-class's ``run_chunk`` loops over -- same statistics, same simulated
+*observationally identical* to the ``access()`` oracle that
+``_run_chunk_oracle`` loops over -- same statistics, same simulated
 time, same final cache state -- over interleaved multi-process traces,
 including page-fault-heavy RAMpage configurations.
 """
@@ -20,7 +20,6 @@ from repro.core.params import (
     MachineParams,
     RampageParams,
 )
-from repro.systems.base import MemorySystem
 from repro.systems.factory import build_system
 
 
@@ -52,7 +51,7 @@ def run_both(params, chunks):
     slow = build_system(params)
     for chunk in chunks:
         consumed_fast = fast.run_chunk(chunk)
-        consumed_slow = MemorySystem.run_chunk(slow, chunk)
+        consumed_slow = slow._run_chunk_oracle(chunk)
         assert consumed_fast == consumed_slow
     return fast.finalize(), slow.finalize()
 

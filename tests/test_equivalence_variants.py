@@ -20,7 +20,6 @@ from repro.core.params import (
     RampageParams,
     TlbParams,
 )
-from repro.systems.base import MemorySystem
 from repro.systems.factory import build_system
 from helpers import random_chunks
 
@@ -29,7 +28,7 @@ def run_both(params, chunks):
     fast = build_system(params)
     slow = build_system(params)
     for chunk in chunks:
-        assert fast.run_chunk(chunk) == MemorySystem.run_chunk(slow, chunk)
+        assert fast.run_chunk(chunk) == slow._run_chunk_oracle(chunk)
     return fast.finalize(), slow.finalize()
 
 

@@ -33,7 +33,7 @@ def reference_log(n=2, refs=2000):
     for program in programs(n, refs):
         refs_list = []
         for chunk in program.chunks():
-            refs_list.extend(zip(chunk.kinds_list, chunk.addrs_list))
+            refs_list.extend(zip(chunk.kinds.tolist(), chunk.addrs.tolist()))
         log[program.pid] = refs_list
     return log
 
@@ -58,8 +58,8 @@ class ScriptedSystem:
 
     def run_chunk(self, chunk):
         self.slice_starts += chunk.new_slice
-        kinds = chunk.kinds_list
-        addrs = chunk.addrs_list
+        kinds = chunk.kinds.tolist()
+        addrs = chunk.addrs.tolist()
         for idx in range(len(kinds)):
             if self._preempt_at and self.total == self._preempt_at[0]:
                 self._preempt_at.pop(0)

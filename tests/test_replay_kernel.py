@@ -4,15 +4,15 @@ The tentpole contract of the replay kernel
 (:mod:`repro.trace.replay_kernel`): for *every* decision-op tape and
 *every* (Rambus timing, cycle time) pair, :class:`ReplayKernel` returns
 exactly the ``(dram_ps, stall_ps, overlap_ps)`` triple the scalar
-``_replay_timeline`` interpreter computes -- including adversarial
-tapes (dense waits, back-to-back backgrounds, zero-length tapes,
-non-monotone cycle stamps that defeat the window segmentation) and
-pipelined channels whose pricing depends on queueing state.  The array
-price functions in :mod:`repro.mem.dram` must match their scalar
-counterparts element for element, batched group pricing must match
-per-cell pricing, malformed tapes must fail identically, and the
-scalar interpreter's pending-fill map must stay bounded (the unbounded
-growth was a bug this PR fixed).
+``_replay_timeline`` interpreter computes -- on the tapes real
+recordings produce and on adversarial ones (dense waits, back-to-back
+backgrounds, zero-length tapes, non-monotone cycle stamps that defeat
+the window segmentation), and for pipelined channels whose pricing
+depends on queueing state.  The array price functions in
+:mod:`repro.mem.dram` must match their scalar counterparts element for
+element, batched group pricing must match per-cell pricing, malformed
+tapes must fail identically, and the scalar interpreter's pending-fill
+map must stay bounded (it once grew by one entry per fill).
 """
 
 import numpy as np
@@ -26,6 +26,8 @@ from repro.mem.dram import (
     rambus_transfer_ps,
     rambus_transfer_ps_array,
 )
+from repro.systems.factory import rampage_machine, virtual_l1_machine
+from repro.systems.simulator import simulate
 from repro.trace import filter as missplane
 from repro.trace.filter import PlaneReplayError, _replay_timeline
 from repro.trace.replay_kernel import (
@@ -35,6 +37,7 @@ from repro.trace.replay_kernel import (
     DOP_WAIT,
     ReplayKernel,
 )
+from repro.trace.synthetic import build_workload
 
 #: Three genuinely different channels: the default part, a slow part,
 #: and a pipelined channel (whose cost rule depends on queueing state,
@@ -227,6 +230,43 @@ def test_group_batched_pricing_equals_per_cell():
     assert kernel.price_many(timings) == [
         kernel.price_many([timing])[0] for timing in timings
     ]
+
+
+# ----------------------------------------------------------------------
+# Recorded tapes
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        rampage_machine(10**9, 1024),
+        rampage_machine(10**9, 1024, switch_on_miss=True),
+        virtual_l1_machine(10**9, 1024, switch_on_miss=True),
+    ],
+    ids=["rampage", "rampage_som", "vl1_som"],
+)
+def test_recorded_tapes_match_scalar(params):
+    """A recording's own tape: ``SYNC`` rows only for plain RAMpage;
+    ``SYNC``, ``BG_FILL`` and ``WAIT`` rows for the preempting
+    machines (no ``BG_WB`` at this scale; the random tapes cover it)."""
+    scale, slice_refs = 0.00002, 10_000
+    recorder = missplane.PlaneRecorder(
+        missplane.plane_key(params, scale, 0, slice_refs)
+    )
+    simulate(
+        params,
+        build_workload(scale, seed=0),
+        slice_refs=slice_refs,
+        record_plane=recorder,
+    )
+    dops = recorder.finalize().dops
+    ops = set(dops[:, 0].tolist())
+    if params.switch_on_miss:
+        assert {DOP_BG_FILL, DOP_WAIT} <= ops
+    else:
+        assert ops == {DOP_SYNC}
+    assert_kernel_matches_scalar(dops)
 
 
 # ----------------------------------------------------------------------

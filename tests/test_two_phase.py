@@ -21,7 +21,6 @@ from repro.core.errors import CacheIntegrityError
 from repro.core.observe import EventLog
 from repro.core.params import RambusParams
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import (
     Runner,
     encode_cache_entry,
@@ -159,6 +158,7 @@ def test_eligibility():
 def machines():
     return [
         ("baseline", lambda rate: baseline_machine(rate, 512)),
+        ("twoway", lambda rate: twoway_machine(rate, 512)),
         ("rampage", lambda rate: rampage_machine(rate, 1024)),
     ]
 
@@ -166,7 +166,6 @@ def machines():
 def recording_machines():
     """Every plane-eligible machine shape, preempting ones included."""
     return machines() + [
-        ("twoway", lambda rate: twoway_machine(rate, 512)),
         (
             "rampage_som",
             lambda rate: rampage_machine(rate, 1024, switch_on_miss=True),
@@ -353,32 +352,6 @@ def test_runner_survives_invariant_tripping_plane(tmp_path):
     fresh = get_plane(pkey, cache_dir=tmp_path)
     assert fresh is not None
     assert replay_group([params], fresh)[0].stats.as_dict() == expected.stats
-
-
-def test_parallel_two_phase_matches_serial_with_mode_counts(tmp_path):
-    cfg_kwargs = dict(rates=RATES, sizes=(128, 1024))
-    serial = Runner(config(tmp_path / "serial", **cfg_kwargs))
-    for label in ("baseline", "rampage", "rampage_som"):
-        serial.grid(label)
-
-    par = ParallelRunner(config(tmp_path / "par", **cfg_kwargs), workers=2)
-    assert par.prefetch(("baseline", "rampage", "rampage_som")) == 18
-
-    a = sorted(iter_cache_files(tmp_path / "serial"))
-    b = sorted(iter_cache_files(tmp_path / "par"))
-    assert [p.name for p in a] == [p.name for p in b]
-    for pa, pb in zip(a, b):
-        assert pa.read_bytes() == pb.read_bytes()
-
-    def mode_counts(runner):
-        modes = [e["mode"] for e in runner.events.of("cell_completed")]
-        return {mode: modes.count(mode) for mode in set(modes)}
-
-    # 6 plane groups (3 eligible labels x 2 sizes): one recording each,
-    # the other rates replay -- the switch-on-miss grid included, via
-    # its decision-op tape.
-    assert mode_counts(serial) == {"recorded": 6, "replayed": 12}
-    assert mode_counts(par) == mode_counts(serial)
 
 
 def test_runner_without_cache_dir_still_two_phases_in_memory():

@@ -2,9 +2,9 @@
 """End-to-end smoke test for the sweep-service daemon (CI gate).
 
 Drives a real ``rampage-sim serve --workers 2`` subprocess through the
-full service contract over the standard nine-cell bench grid (three
-machines, three issue rates — the speed-ratio sweep every paper table
-runs — in three plane groups, so the job runs on the process pool):
+full service contract over a nine-cell grid (three machines, three
+issue rates — the speed-ratio sweep every paper table runs — in three
+plane groups, so the job runs on the process pool):
 
 1. start the daemon on a free port and wait for its ready line,
 2. submit the grid over HTTP and stream SSE progress to completion,
@@ -48,14 +48,7 @@ from xml.etree import ElementTree
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from repro.bench import (  # noqa: E402
-    SWEEP_LABELS,
-    SWEEP_RATES,
-    SWEEP_SCALE,
-    SWEEP_SIZES,
-    SWEEP_SLICE_REFS,
-    sweep_config,
-)
+from repro.experiments.config import ExperimentConfig  # noqa: E402
 from repro.experiments.runner import (  # noqa: E402
     Runner,
     find_record,
@@ -69,6 +62,16 @@ READY_TIMEOUT_S = 30
 JOB_TIMEOUT_S = 600
 POLL_THREADS = 8
 
+#: The smoke grid: three grids over three issue rates at one size --
+#: nine cells in three plane groups, the speed-ratio sweep every paper
+#: table runs.  ``rampage_som`` exercises the preempting
+#: (decision-op tape) replay path.
+SWEEP_LABELS = ("baseline", "rampage", "rampage_som")
+SWEEP_SIZES = (512,)
+SWEEP_RATES = (2 * 10**8, 10**9, 4 * 10**9)
+SWEEP_SCALE = 0.0002
+SWEEP_SLICE_REFS = 10_000
+
 
 def fail(message: str) -> None:
     print(f"FAIL: {message}", file=sys.stderr)
@@ -79,6 +82,18 @@ def check(condition: bool, message: str) -> None:
     if not condition:
         fail(message)
     print(f"  ok: {message}")
+
+
+def sweep_config(cache_dir: Path) -> ExperimentConfig:
+    """The smoke grid's configuration over ``cache_dir`` (seed 0)."""
+    return ExperimentConfig(
+        scale=SWEEP_SCALE,
+        slice_refs=SWEEP_SLICE_REFS,
+        issue_rates=SWEEP_RATES,
+        sizes=SWEEP_SIZES,
+        seed=0,
+        cache_dir=cache_dir,
+    )
 
 
 def spec_payload() -> dict:
@@ -188,7 +203,7 @@ def main() -> int:
         job = client.submit(spec_payload())
         total = len(SWEEP_LABELS) * len(SWEEP_RATES) * len(SWEEP_SIZES)
         check(job["created"] and job["total"] == total,
-              f"nine-cell bench grid accepted as job {job['id']}")
+              f"nine-cell smoke grid accepted as job {job['id']}")
 
         progress = []
 
